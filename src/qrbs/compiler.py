@@ -23,13 +23,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .gates import M, X
 from .ruledsl import And, Expr, FactRef, Not, RuleSet, topo_order, validate
-from .statevec import MAX_QUBITS, Circuit, CircuitOp, init_zero, run, sample
+from .statevec import (MAX_QUBITS, Circuit, CircuitOp, init_zero,
+                       marginal_prob_one, run, sample)
 from .uncertainty import delta_to_alpha
 
 TRUE_BIT = 1  # basis bit value that encodes a TRUE fact
@@ -61,6 +63,15 @@ class CompiledProgram:
     goal: str
     goal_qubit: int
     true_bit: int = TRUE_BIT
+
+    @cached_property
+    def p_goal(self) -> float:
+        """Exact probability of reading 1 on the goal qubit.
+
+        This is the program's one simulation: it runs on first access only.
+        """
+        state = run(self.circuit, init_zero(self.circuit.n_qubits))
+        return marginal_prob_one(state, self.goal_qubit)
 
 
 def _block_ops(block: str, inputs: tuple[int, ...], anc: int) -> list[CircuitOp]:

@@ -11,7 +11,8 @@ Grammar (keywords case-insensitive, ``#`` starts a line comment):
 
     goal_decl := "goal" IDENT
 
-Precedence not > and > or, binary operators left-associative. Identifiers
+Precedence not > and > or, binary operators left-associative; "not" and
+"(" nest at most MAX_NESTING levels deep in one premise. Identifiers
 are ``[A-Za-z][A-Za-z0-9_]*``; keywords are reserved. A fact declared
 without a ``disbelief`` clause defaults to delta = 0 (certainly true).
 
@@ -29,6 +30,11 @@ import numpy as np
 KEYWORDS = frozenset(
     {"fact", "rule", "goal", "if", "then", "and", "or", "not", "disbelief"}
 )
+
+# Deepest stack of "not" and "(" one premise may open. The parser, the
+# compiler, the oracle and to_source all recurse once or more per level, so
+# the cap keeps every one of them well inside Python's recursion limit.
+MAX_NESTING = 100
 
 
 class DslError(ValueError):
@@ -167,6 +173,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self._depth = 0  # "not" and "(" currently open
         # first source position of each fact referenced by the premise
         # currently being parsed; reset per rule
         self._leaf_positions: dict[str, tuple[int, int]] = {}
@@ -206,13 +213,21 @@ class _Parser:
     # factor := "not" factor | "(" expr ")" | IDENT
     def factor(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "not":
+        if tok.kind in ("not", "("):
+            if self._depth >= MAX_NESTING:
+                raise DslError(
+                    f"expression nested deeper than {MAX_NESTING} levels",
+                    tok.line,
+                    tok.col,
+                )
             self.advance()
-            return Not(self.factor())
-        if tok.kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")", "')'")
+            self._depth += 1
+            if tok.kind == "not":
+                node: Expr = Not(self.factor())
+            else:
+                node = self.expr()
+                self.expect(")", "')'")
+            self._depth -= 1
             return node
         ident = self.expect("ident", "a fact name")
         self._leaf_positions.setdefault(ident.text, (ident.line, ident.col))

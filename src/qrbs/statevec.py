@@ -7,8 +7,13 @@ Conventions:
 * histogram bitstrings use the same order, qubit n-1 leftmost;
 * controls fire on bit value 1 only (control-on-0 is expressed with X
   sandwiches by the compiler);
-* sampling uses numpy's seeded PCG64 generator (128-bit state), so a
-  (state, shots, seed) triple always reproduces the same histogram.
+* ``run`` updates one copy of the initial state in place, viewed as a
+  (2,)*n array whose axis n-1-q is qubit q;
+* ``sample`` draws whole-register outcomes with numpy's seeded PCG64
+  generator (128-bit state), so a (state, shots, seed) triple always
+  reproduces the same histogram. Shot inference on a compiled program does
+  not sample the register: it draws one seeded Binomial(shots, p) count of
+  ones on the measured goal qubit (``inference.infer_shots``).
 
 States are capped at 24 qubits: this simulator is deliberately dense and
 simple, not sparse or clever.
@@ -23,6 +28,8 @@ import numpy as np
 from .gates import Gate, matrix_of
 
 MAX_QUBITS = 24
+MAX_SHOTS = 2**63 - 1  # largest count numpy's int64 draws accept
+SAMPLE_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -95,61 +102,70 @@ def init_zero(n: int) -> StateVector:
 
 
 def apply(state: StateVector, op: CircuitOp) -> StateVector:
-    """Apply one (possibly controlled) gate, returning a new state.
-
-    The 2x2 matrix acts on the target amplitude pairs of every basis state
-    whose control bits are all 1; other amplitudes pass through untouched.
-    """
-    n = state.n_qubits
-    for q in op.qubits():
-        _check_qubit(q, n)
-    amps = state.amps.copy()
-    index = np.arange(amps.size)
-    lower = (index >> op.target) & 1 == 0
-    for c in op.controls:
-        lower &= (index >> c) & 1 == 1
-    i0 = np.nonzero(lower)[0]
-    i1 = i0 | (1 << op.target)
-    u = matrix_of(op.gate)
-    a0 = amps[i0]
-    a1 = amps[i1]
-    amps[i0] = u[0, 0] * a0 + u[0, 1] * a1
-    amps[i1] = u[1, 0] * a0 + u[1, 1] * a1
-    return StateVector(n, amps)
+    """Apply one (possibly controlled) gate, returning a new state."""
+    return run(Circuit(state.n_qubits, (op,), measured_qubit=op.target), state)
 
 
 def run(circuit: Circuit, initial: StateVector) -> StateVector:
-    """Apply circuit.ops in list order to the initial state."""
-    if initial.n_qubits != circuit.n_qubits:
-        raise ValueError(
-            f"state has {initial.n_qubits} qubits, circuit needs {circuit.n_qubits}"
-        )
-    state = initial
+    """Apply circuit.ops in list order to a copy of the initial state.
+
+    The copy is viewed as a (2,)*n array whose axis n-1-q is qubit q. Each
+    gate's 2x2 matrix updates, in place, the target amplitude pairs of every
+    basis state whose control bits are all 1; other amplitudes pass through.
+    """
+    n = circuit.n_qubits
+    if initial.n_qubits != n:
+        raise ValueError(f"state has {initial.n_qubits} qubits, circuit needs {n}")
+    amps = np.array(initial.amps, dtype=complex)
+    tensor = amps.reshape((2,) * n)
     for op in circuit.ops:
-        state = apply(state, op)
-    return state
+        # slices, not ints, so that lo and hi stay views even when every
+        # axis is fixed
+        index = [slice(None)] * n
+        for c in op.controls:
+            index[n - 1 - c] = slice(1, 2)
+        index[n - 1 - op.target] = slice(0, 1)
+        lo = tensor[tuple(index)]
+        index[n - 1 - op.target] = slice(1, 2)
+        hi = tensor[tuple(index)]
+        u = matrix_of(op.gate)
+        lo[...], hi[...] = u[0, 0] * lo + u[0, 1] * hi, u[1, 0] * lo + u[1, 1] * hi
+    return StateVector(n, amps)
 
 
 def marginal_prob_one(state: StateVector, qubit: int) -> float:
     """Probability that measuring ``qubit`` yields bit 1."""
     _check_qubit(qubit, state.n_qubits)
-    index = np.arange(state.amps.size)
-    ones = (index >> qubit) & 1 == 1
-    return float(np.sum(np.abs(state.amps[ones]) ** 2))
+    ones = state.amps.reshape(-1, 2, 2**qubit)[:, 1, :]
+    return float(np.sum(np.abs(ones) ** 2))
+
+
+def check_shots(shots: int) -> None:
+    """Reject shot counts outside [1, MAX_SHOTS]."""
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
 
 
 def sample(state: StateVector, shots: int, seed: int) -> ShotHistogram:
-    """Draw ``shots`` basis states from the squared-amplitude distribution."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    """Draw ``shots`` basis states from the squared-amplitude distribution.
+
+    Draws are made in chunks of SAMPLE_CHUNK, so memory does not grow with
+    the shot count. ``Generator.choice`` spends one double per draw, so the
+    counts equal those of a single call of ``shots`` draws.
+    """
+    check_shots(shots)
     rng = np.random.default_rng(seed)
     probs = np.abs(state.amps) ** 2
     probs = probs / probs.sum()  # absorb <=1e-9 norm drift
-    draws = rng.choice(probs.size, size=shots, p=probs)
-    values, counts = np.unique(draws, return_counts=True)
+    counts = np.zeros(probs.size, dtype=np.int64)
+    for start in range(0, shots, SAMPLE_CHUNK):
+        draws = rng.choice(probs.size, size=min(SAMPLE_CHUNK, shots - start), p=probs)
+        counts += np.bincount(draws, minlength=probs.size)
     width = state.n_qubits
     return ShotHistogram(
         shots=shots,
         seed=seed,
-        counts={format(int(v), f"0{width}b"): int(c) for v, c in zip(values, counts)},
+        counts={
+            format(int(v), f"0{width}b"): int(counts[v]) for v in np.flatnonzero(counts)
+        },
     )

@@ -228,3 +228,33 @@ def test_module_entry_point(demo_file):
         check=True,
     )
     assert "R p_true=0.468750" in result.stdout
+
+
+def test_run_huge_shot_count_exits_0(demo_file, capsys):
+    assert main(["run", demo_file, "--mode", "shots", "--shots", "100000000000"]) == 0
+    assert "shots=100000000000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "DEMO", "--mode", "shots"],
+    ["tables", "7", "--out", "OUT"],
+    ["table8", "--out", "OUT"],
+    ["gatedemo", "and", "--out", "OUT"],
+])
+def test_shot_count_past_int64_exits_1(command, demo_file, tmp_path, capsys):
+    argv = [demo_file if a == "DEMO" else str(tmp_path / "x.csv") if a == "OUT" else a
+            for a in command]
+    assert main(argv + ["--shots", str(10**30)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: shots must be in [1, ")
+    assert "Traceback" not in err
+
+
+def test_validate_too_deep_nesting_exits_1(tmp_path, capsys):
+    deep = tmp_path / "deep.qrbs"
+    deep.write_text("fact a\nrule r: if " + "not " * 3000 + "a then b\ngoal b\n",
+                    encoding="utf-8")
+    assert main(["validate", str(deep)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{deep}:2:")
+    assert "nested deeper" in err and "Traceback" not in err

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from helpers import random_ruleset
+from qrbs import compiler, inference, statevec
 from qrbs.compiler import BudgetError, compile_ruleset
 from qrbs.inference import cross_validate, infer_exact, infer_shots, oracle
 from qrbs.reference import demo_ruleset
@@ -127,3 +129,41 @@ def test_shot_estimates_converge_at_four_sigma():
     bound = 4 * math.sqrt(p * (1 - p) / shots)
     for seed in range(10):
         assert abs(infer_shots(cp, shots, seed).p_true - p) <= bound
+
+
+def test_exact_and_shots_share_one_simulation(monkeypatch):
+    runs = []
+
+    def counting_run(circuit, initial):
+        runs.append(circuit)
+        return statevec.run(circuit, initial)
+
+    def no_sample(*args):
+        raise AssertionError("shot inference must not sample the register")
+
+    for module in (compiler, inference):
+        if hasattr(module, "run"):
+            monkeypatch.setattr(module, "run", counting_run)
+        if hasattr(module, "sample"):
+            monkeypatch.setattr(module, "sample", no_sample)
+    cp = compile_ruleset(demo_ruleset())
+    exact = infer_exact(cp)
+    infer_shots(cp, 8192, 3)
+    assert infer_exact(cp) == exact
+    assert runs == [cp.circuit]
+
+
+def test_shot_count_is_a_seeded_binomial_draw():
+    cp = compile_ruleset(demo_ruleset((20, 60, 0, 0, 20)))
+    for seed in range(5):
+        ones = np.random.default_rng(seed).binomial(8192, cp.p_goal)
+        assert infer_shots(cp, 8192, seed).p_true == ones / 8192
+
+
+def test_shot_inference_accepts_every_int64_count():
+    cp = compile_ruleset(demo_ruleset())
+    for shots in (10**11, statevec.MAX_SHOTS):
+        result = infer_shots(cp, shots, 0)
+        assert abs(result.p_true - cp.p_goal) <= 1e-4
+    with pytest.raises(ValueError, match="shots"):
+        infer_shots(cp, statevec.MAX_SHOTS + 1, 0)

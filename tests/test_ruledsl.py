@@ -1,7 +1,9 @@
 import pytest
 
 from helpers import random_ruleset
+from qrbs.inference import oracle
 from qrbs.ruledsl import (
+    MAX_NESTING,
     And,
     DslError,
     FactRef,
@@ -213,3 +215,33 @@ def test_random_rulesets_validate_and_order():
             assert all(name in produced for name in premise_facts(rule.premise))
             produced.add(rule.conclusion)
         assert parse(to_source(rs)) == rs
+
+
+def _nested(kind: str, depth: int) -> str:
+    if kind == "not":
+        premise = "not " * depth + "a"
+    elif kind == "paren":
+        premise = "(" * depth + "a" + ")" * depth
+    else:  # each "not (" opens two levels
+        premise = "not (" * (depth // 2) + "a" + ")" * (depth // 2)
+    return f"fact a disbelief 30\nrule r: if {premise} then b\ngoal b\n"
+
+
+@pytest.mark.parametrize("kind", ["not", "paren", "not-paren"])
+def test_nesting_at_the_cap_parses_and_round_trips(kind):
+    rs = parse(_nested(kind, MAX_NESTING))
+    assert parse(to_source(rs)) == rs
+    assert oracle(rs).p_true == pytest.approx(oracle(parse(_nested(kind, 0))).p_true)
+
+
+@pytest.mark.parametrize("kind", ["not", "paren"])
+def test_nesting_past_the_cap_is_a_dsl_error(kind):
+    source = _nested(kind, MAX_NESTING + 1)
+    with pytest.raises(DslError, match="nested deeper") as info:
+        parse(source)
+    # the offending token is the first "not" or "(" past the cap
+    opener = "not" if kind == "not" else "("
+    step = len("not ") if kind == "not" else 1
+    col = len("rule r: if ") + 1 + MAX_NESTING * step
+    assert (info.value.line, info.value.col) == (2, col)
+    assert source.splitlines()[1][info.value.col - 1:].startswith(opener)

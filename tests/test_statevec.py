@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qrbs.gates import H, M, S, T, X, Z
+from qrbs.gates import H, M, S, T, X, Z, matrix_of
 from qrbs.statevec import (
+    MAX_SHOTS,
+    SAMPLE_CHUNK,
     Circuit,
     CircuitOp,
     StateVector,
@@ -192,3 +194,65 @@ def test_sampling_frequencies_track_probabilities():
         observed = hist.counts.get(format(index, "03b"), 0) / shots
         sigma = math.sqrt(p * (1 - p) / shots)
         assert abs(observed - p) <= 4 * sigma
+
+
+def _dense_reference(n_qubits, op):
+    """2^n x 2^n matrix of one op, assembled from np.kron products.
+
+    The gate acts where every control is 1 and the identity acts elsewhere.
+    Factors are written qubit n-1 leftmost, so qubit q is bit q of the index.
+    """
+
+    def kron_all(factors):
+        out = np.eye(1)
+        for q in reversed(range(n_qubits)):
+            out = np.kron(out, factors.get(q, np.eye(2)))
+        return out
+
+    fired = {c: np.diag([0.0, 1.0]) for c in op.controls}
+    return kron_all({**fired, op.target: matrix_of(op.gate)}) + (
+        np.eye(2**n_qubits) - kron_all(fired)
+    )
+
+
+def test_run_matches_dense_kron_reference():
+    rng = np.random.default_rng(21)
+    catalog = [X, H, S, T, Z]
+    for trial in range(60):
+        n = int(rng.integers(1, 8))
+        ops = []
+        for _ in range(int(rng.integers(0, 16))):
+            n_controls = int(rng.integers(0, min(2, n - 1) + 1))
+            target, *controls = (int(q) for q in rng.permutation(n)[: n_controls + 1])
+            pick = int(rng.integers(0, len(catalog) + 1))
+            gate = catalog[pick] if pick < len(catalog) else M(rng.uniform(-3.0, 3.0))
+            ops.append(CircuitOp(gate, target, tuple(controls)))
+        # every third initial state is real-valued: run must still work on it
+        amps = rng.normal(size=2**n)
+        if trial % 3:
+            amps = amps + 1j * rng.normal(size=2**n)
+        initial = StateVector(n, amps / np.linalg.norm(amps))
+        before = initial.amps.copy()
+        expected = initial.amps
+        for op in ops:
+            expected = _dense_reference(n, op) @ expected
+        got = run(Circuit(n, tuple(ops), measured_qubit=0), initial)
+        assert np.max(np.abs(got.amps - expected)) <= 1e-12
+        assert np.array_equal(initial.amps, before)
+
+
+def test_chunked_sample_equals_one_choice_call():
+    ops = (CircuitOp(H, 0), CircuitOp(M(0.9), 1), CircuitOp(X, 2, controls=(0, 1)))
+    state = run(Circuit(3, ops, measured_qubit=2), init_zero(3))
+    shots = 2 * SAMPLE_CHUNK + 3
+    probs = np.abs(state.amps) ** 2
+    probs = probs / probs.sum()
+    draws = np.random.default_rng(5).choice(probs.size, size=shots, p=probs)
+    values, counts = np.unique(draws, return_counts=True)
+    expected = {format(int(v), "03b"): int(c) for v, c in zip(values, counts)}
+    assert sample(state, shots, seed=5).counts == expected
+
+
+def test_sample_rejects_shots_past_int64():
+    with pytest.raises(ValueError, match="shots"):
+        sample(init_zero(1), MAX_SHOTS + 1, seed=0)
