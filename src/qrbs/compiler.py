@@ -29,7 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .gates import M, X
-from .ruledsl import And, Expr, FactRef, Not, RuleSet, topo_order, validate
+from .ruledsl import (And, Expr, FactRef, Not, RuleSet, premise_nodes,
+                      topo_order, validate)
 from .statevec import (MAX_QUBITS, Circuit, CircuitOp, init_zero,
                        marginal_prob_one, run, sample)
 from .uncertainty import delta_to_alpha
@@ -104,6 +105,18 @@ def compile_ruleset(rs: RuleSet) -> CompiledProgram:
     problems = validate(rs)
     if problems:
         raise ValueError("invalid ruleset: " + "; ".join(problems))
+    # one qubit per base fact and one ancilla per Not/And/Or node, counted
+    # before lowering, which recurses once per level of a premise
+    n_qubits = len(rs.base_facts) + sum(
+        not isinstance(node, FactRef)
+        for rule in rs.rules
+        for node in premise_nodes(rule.premise)
+    )
+    if n_qubits > MAX_QUBITS:
+        raise BudgetError(
+            f"program needs {n_qubits} qubits; "
+            f"the dense simulator supports {MAX_QUBITS}"
+        )
 
     ops: list[CircuitOp] = []
     fact_qubits: dict[str, int] = {}
@@ -143,12 +156,6 @@ def compile_ruleset(rs: RuleSet) -> CompiledProgram:
 
     for rule in topo_order(rs):
         conclusion_qubits[rule.conclusion] = lower(rule.name, rule.premise, ())
-
-    if next_qubit > MAX_QUBITS:
-        raise BudgetError(
-            f"program needs {next_qubit} qubits; "
-            f"the dense simulator supports {MAX_QUBITS}"
-        )
 
     goal_qubit = fact_qubits.get(rs.goal)
     if goal_qubit is None:
@@ -212,17 +219,16 @@ def rq_gate_demo(
     circuit = Circuit(3, tuple(ops), measured_qubit=2)
     state = run(circuit, init_zero(3))
 
-    pct: dict[tuple[int, int], float] = {}
     if shots is None:
         probs = np.abs(state.amps) ** 2
-        for index, p in enumerate(probs):
-            bits = (index & 1, (index >> 1) & 1)
-            pct[bits] = pct.get(bits, 0.0) + float(p) * 100.0
+        percents = ((index, float(p) * 100.0) for index, p in enumerate(probs))
     else:
-        hist = sample(state, shots, seed)
-        for bitstring, count in hist.counts.items():
-            bits = (int(bitstring[-1]), int(bitstring[-2]))
-            pct[bits] = pct.get(bits, 0.0) + 100.0 * count / shots
+        counts = sample(state, shots, seed).counts
+        percents = ((int(b, 2), 100.0 * c / shots) for b, c in counts.items())
+    pct: dict[tuple[int, int], float] = {}
+    for index, percent in percents:
+        bits = (index & 1, (index >> 1) & 1)
+        pct[bits] = pct.get(bits, 0.0) + percent
 
     table = truth_table_check(block)
     return [

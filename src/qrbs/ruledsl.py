@@ -18,6 +18,14 @@ without a ``disbelief`` clause defaults to delta = 0 (certainly true).
 
 A valid program has acyclic dependencies, exactly one goal, at most one
 rule concluding any fact, and never concludes a declared base fact.
+
+The checks live in two places. ``parse`` rejects what a RuleSet cannot
+represent: lexical and syntax errors, a duplicate fact, a missing or
+repeated goal, and over-deep nesting. ``validate`` makes every other check
+on a RuleSet, however it was built: disbelief range, duplicate rule, a fact
+concluded twice, a base fact concluded, an undeclared fact, a cycle and an
+unreachable goal. ``parse`` reports the first of those problems at the
+source position of the token it concerns.
 """
 
 from __future__ import annotations
@@ -31,9 +39,12 @@ KEYWORDS = frozenset(
     {"fact", "rule", "goal", "if", "then", "and", "or", "not", "disbelief"}
 )
 
-# Deepest stack of "not" and "(" one premise may open. The parser, the
-# compiler, the oracle and to_source all recurse once or more per level, so
-# the cap keeps every one of them well inside Python's recursion limit.
+# Deepest stack of "not" and "(" one premise may open. The parser recurses
+# once per such level, so the cap keeps it inside Python's recursion limit.
+# It does not bound an "and"/"or" chain, whose left-deep tree is as deep as
+# the chain is long: premise_nodes and validate walk any depth, the compiler
+# rejects a premise past its qubit budget before it recurses, and oracle and
+# to_source still recurse once per level of the tree.
 MAX_NESTING = 100
 
 
@@ -97,15 +108,25 @@ class RuleSet:
         return {rule.conclusion: rule for rule in self.rules}
 
 
+def premise_nodes(expr: Expr) -> Iterator[Expr]:
+    """Every node of an expression in pre-order, left to right.
+
+    Walks with an explicit stack: an "and"/"or" chain of any length parses
+    to a tree as deep as the chain is long.
+    """
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Not):
+            stack.append(node.operand)
+        elif not isinstance(node, FactRef):
+            stack += (node.right, node.left)
+
+
 def premise_facts(expr: Expr) -> Iterator[str]:
     """Names referenced by an expression, left to right, with repeats."""
-    if isinstance(expr, FactRef):
-        yield expr.name
-    elif isinstance(expr, Not):
-        yield from premise_facts(expr.operand)
-    else:
-        yield from premise_facts(expr.left)
-        yield from premise_facts(expr.right)
+    return (node.name for node in premise_nodes(expr) if isinstance(node, FactRef))
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +195,9 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self._depth = 0  # "not" and "(" currently open
-        # first source position of each fact referenced by the premise
-        # currently being parsed; reset per rule
-        self._leaf_positions: dict[str, tuple[int, int]] = {}
+        # source position of each _problems anchor seen so far
+        self.anchors: dict[tuple, tuple[int, int]] = {}
+        self.rule_index = 0  # index in RuleSet.rules of the rule being parsed
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -193,6 +214,10 @@ class _Parser:
             shown = tok.text or "end of input"
             raise DslError(f"expected {what}, found {shown!r}", tok.line, tok.col)
         return self.advance()
+
+    def mark(self, anchor: tuple, tok: Token) -> None:
+        """Record where the problems anchored at ``anchor`` are reported."""
+        self.anchors.setdefault(anchor, (tok.line, tok.col))
 
     # expr := term { "or" term }
     def expr(self) -> Expr:
@@ -230,34 +255,30 @@ class _Parser:
             self._depth -= 1
             return node
         ident = self.expect("ident", "a fact name")
-        self._leaf_positions.setdefault(ident.text, (ident.line, ident.col))
+        self.mark(("leaf", self.rule_index, ident.text), ident)
         return FactRef(ident.text)
 
 
 def parse(source: str) -> RuleSet:
     """Parse DSL text into a validated RuleSet.
 
-    Raises DslError (with 1-based line and column) on the first lexical,
-    syntactic or semantic problem.
+    The parser rejects only what a RuleSet cannot represent: lexical and
+    syntax errors, a duplicate fact, a missing or repeated goal, and
+    "not"/"(" nested past MAX_NESTING. Every semantic check is made by
+    validate; parse raises the first problem validate would report, at the
+    token it concerns. Raises DslError with a 1-based line and column.
     """
     parser = _Parser(_tokenize(source))
-
     base_facts: dict[str, float] = {}
-    fact_pos: dict[str, tuple[int, int]] = {}
     rules: list[Rule] = []
-    rule_pos: dict[str, tuple[int, int]] = {}
-    concluded: dict[str, str] = {}  # fact -> rule that concludes it
-    conclusion_pos: dict[str, tuple[int, int]] = {}
-    leaf_pos: dict[str, dict[str, tuple[int, int]]] = {}  # rule -> fact -> pos
     goal: str | None = None
-    goal_tok: Token | None = None
 
     while True:
         tok = parser.peek()
         if tok.kind == "eof":
             break
+        parser.advance()
         if tok.kind == "fact":
-            parser.advance()
             name_tok = parser.expect("ident", "a fact name")
             if name_tok.text in base_facts:
                 raise DslError(
@@ -268,48 +289,27 @@ def parse(source: str) -> RuleSet:
                 parser.advance()
                 num_tok = parser.expect("number", "a number")
                 delta = float(num_tok.text)
-                if not 0.0 <= delta <= 100.0:
-                    raise DslError(
-                        f"disbelief {num_tok.text} outside [0, 100]",
-                        num_tok.line,
-                        num_tok.col,
-                    )
+                parser.mark(("fact", name_tok.text), num_tok)
             base_facts[name_tok.text] = delta
-            fact_pos[name_tok.text] = (name_tok.line, name_tok.col)
         elif tok.kind == "rule":
-            parser.advance()
+            parser.rule_index = len(rules)
             name_tok = parser.expect("ident", "a rule name")
-            if name_tok.text in rule_pos:
-                raise DslError(
-                    f"duplicate rule '{name_tok.text}'", name_tok.line, name_tok.col
-                )
+            parser.mark(("rule", parser.rule_index), name_tok)
             parser.expect(":", "':'")
             parser.expect("if", "'if'")
-            parser._leaf_positions = {}
             premise = parser.expr()
             parser.expect("then", "'then'")
             concl_tok = parser.expect("ident", "a fact name")
-            if concl_tok.text in concluded:
-                raise DslError(
-                    f"fact '{concl_tok.text}' concluded by "
-                    f"{concluded[concl_tok.text]} and {name_tok.text}",
-                    concl_tok.line,
-                    concl_tok.col,
-                )
+            parser.mark(("conclusion", parser.rule_index), concl_tok)
             rules.append(Rule(name_tok.text, premise, concl_tok.text))
-            rule_pos[name_tok.text] = (name_tok.line, name_tok.col)
-            concluded[concl_tok.text] = name_tok.text
-            conclusion_pos[concl_tok.text] = (concl_tok.line, concl_tok.col)
-            leaf_pos[name_tok.text] = parser._leaf_positions
         elif tok.kind == "goal":
-            parser.advance()
             name_tok = parser.expect("ident", "a fact name")
             if goal is not None:
                 raise DslError(
                     "multiple goal declarations", name_tok.line, name_tok.col
                 )
             goal = name_tok.text
-            goal_tok = name_tok
+            parser.mark(("goal",), name_tok)
         else:
             shown = tok.text or "end of input"
             raise DslError(
@@ -318,37 +318,14 @@ def parse(source: str) -> RuleSet:
                 tok.col,
             )
 
-    eof = parser.peek()
-    if goal is None or goal_tok is None:
+    if goal is None:
+        eof = parser.peek()
         raise DslError("missing goal declaration", eof.line, eof.col)
-
-    # semantic checks, each anchored to the most relevant source position
-    for name in concluded:
-        if name in base_facts:
-            line, col = conclusion_pos[name]
-            raise DslError(
-                f"fact '{name}' is declared as a base fact and concluded by "
-                f"{concluded[name]}",
-                line,
-                col,
-            )
-    for rule in rules:
-        for name in premise_facts(rule.premise):
-            if name not in base_facts and name not in concluded:
-                line, col = leaf_pos[rule.name][name]
-                raise DslError(f"undeclared fact '{name}'", line, col)
-
     rs = RuleSet(base_facts, tuple(rules), goal)
-    cycle = _find_cycle(rs)
-    if cycle is not None:
-        line, col = rule_pos[concluded[cycle[0]]]
-        raise DslError("cycle detected: " + " -> ".join(cycle), line, col)
-    if goal not in base_facts and goal not in concluded:
-        raise DslError(
-            f"goal '{goal}' is neither a base fact nor concluded",
-            goal_tok.line,
-            goal_tok.col,
-        )
+    problem = next(_problems(rs), None)
+    if problem is not None:
+        message, anchor = problem
+        raise DslError(message, *parser.anchors[anchor])
     return rs
 
 
@@ -357,69 +334,81 @@ def parse(source: str) -> RuleSet:
 
 
 def _find_cycle(rs: RuleSet) -> list[str] | None:
-    """First dependency cycle among concluded facts, as a closed name path."""
+    """First dependency cycle among concluded facts, as a closed name path.
+
+    A depth-first search over the defining rules, with an explicit stack so
+    that a chain of any length fits.
+    """
     defining = {rule.conclusion: rule for rule in rs.rules}
-    state: dict[str, int] = {}  # 0 visiting, 1 done
-    stack: list[str] = []
-
-    def visit(fact: str) -> list[str] | None:
-        if state.get(fact) == 1 or fact not in defining:
-            return None
-        if state.get(fact) == 0:
-            return stack[stack.index(fact) :] + [fact]
-        state[fact] = 0
-        stack.append(fact)
-        for dep in premise_facts(defining[fact].premise):
-            found = visit(dep)
-            if found is not None:
-                return found
-        stack.pop()
-        state[fact] = 1
-        return None
-
+    state: dict[str, int] = {}  # 0 on the current path, 1 done
     for rule in rs.rules:
-        found = visit(rule.conclusion)
-        if found is not None:
-            return found
+        if rule.conclusion in state:
+            continue
+        state[rule.conclusion] = 0
+        path = [rule.conclusion]
+        deps = [premise_facts(defining[rule.conclusion].premise)]
+        while path:
+            dep = next(deps[-1], None)
+            if dep is None:
+                state[path.pop()] = 1
+                deps.pop()
+            elif dep in defining and dep not in state:
+                state[dep] = 0
+                path.append(dep)
+                deps.append(premise_facts(defining[dep].premise))
+            elif state.get(dep) == 0:
+                return path[path.index(dep) :] + [dep]
     return None
+
+
+def _problems(rs: RuleSet) -> Iterator[tuple[str, tuple]]:
+    """Every semantic problem of a RuleSet, as (message, anchor) pairs.
+
+    The anchor names what the problem concerns, for parse to place it in
+    the source: ("fact", name) a base fact's disbelief, ("rule", i) the
+    name of ``rs.rules[i]``, ("conclusion", i) its conclusion, ("leaf", i,
+    name) the first use of a fact in its premise, and ("goal",) the goal.
+    """
+    for name, delta in rs.base_facts.items():
+        if not 0.0 <= float(delta) <= 100.0:
+            yield f"fact '{name}' disbelief {delta} outside [0, 100]", ("fact", name)
+    seen_rules: set[str] = set()
+    concluded: dict[str, int] = {}  # fact -> index of the first rule concluding it
+    for i, rule in enumerate(rs.rules):
+        if rule.name in seen_rules:
+            yield f"duplicate rule '{rule.name}'", ("rule", i)
+        seen_rules.add(rule.name)
+        if rule.conclusion in concluded:
+            first = rs.rules[concluded[rule.conclusion]].name
+            yield (
+                f"fact '{rule.conclusion}' concluded by {first} and {rule.name}",
+                ("conclusion", i),
+            )
+        else:
+            concluded[rule.conclusion] = i
+        if rule.conclusion in rs.base_facts:
+            yield (
+                f"fact '{rule.conclusion}' is declared as a base fact and "
+                f"concluded by {rule.name}",
+                ("conclusion", i),
+            )
+    for i, rule in enumerate(rs.rules):
+        for name in premise_facts(rule.premise):
+            if name not in rs.base_facts and name not in concluded:
+                yield (
+                    f"undeclared fact '{name}' in premise of {rule.name}",
+                    ("leaf", i, name),
+                )
+    cycle = _find_cycle(rs)
+    if cycle is not None:
+        yield "cycle detected: " + " -> ".join(cycle), ("rule", concluded[cycle[0]])
+    if rs.goal not in rs.base_facts and rs.goal not in concluded:
+        yield f"goal '{rs.goal}' is neither a base fact nor concluded", ("goal",)
 
 
 def validate(rs: RuleSet) -> list[str]:
     """Diagnostics for a structurally built RuleSet; empty iff it is valid."""
-    problems: list[str] = []
-    for name, delta in rs.base_facts.items():
-        if not 0.0 <= float(delta) <= 100.0:
-            problems.append(f"fact '{name}' disbelief {delta} outside [0, 100]")
-    seen_rules: set[str] = set()
-    concluded: dict[str, str] = {}
-    for rule in rs.rules:
-        if rule.name in seen_rules:
-            problems.append(f"duplicate rule '{rule.name}'")
-        seen_rules.add(rule.name)
-        if rule.conclusion in concluded:
-            problems.append(
-                f"fact '{rule.conclusion}' concluded by "
-                f"{concluded[rule.conclusion]} and {rule.name}"
-            )
-        else:
-            concluded[rule.conclusion] = rule.name
-        if rule.conclusion in rs.base_facts:
-            problems.append(
-                f"fact '{rule.conclusion}' is declared as a base fact and "
-                f"concluded by {rule.name}"
-            )
-    for rule in rs.rules:
-        for name in premise_facts(rule.premise):
-            if name not in rs.base_facts and name not in concluded:
-                problems.append(
-                    f"undeclared fact '{name}' in premise of {rule.name}"
-                )
-    cycle = _find_cycle(rs)
-    if cycle is not None:
-        problems.append("cycle detected: " + " -> ".join(cycle))
-    if rs.goal not in rs.base_facts and rs.goal not in concluded:
-        problems.append(f"goal '{rs.goal}' is neither a base fact nor concluded")
-    return problems
+    return [message for message, _ in _problems(rs)]
 
 
 def topo_order(rs: RuleSet) -> list[Rule]:

@@ -258,3 +258,35 @@ def test_validate_too_deep_nesting_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"{deep}:2:")
     assert "nested deeper" in err and "Traceback" not in err
+
+
+def _flat_and_chain(terms):
+    return "fact a\nrule r: if " + " and ".join(["a"] * terms) + " then b\ngoal b\n"
+
+
+def _reverse_rule_chain(rules):
+    lines = ["fact f0 disbelief 30"]
+    lines += [f"rule r{i}: if f{i} then f{i + 1}" for i in reversed(range(rules))]
+    return "\n".join(lines + [f"goal f{rules}"]) + "\n"
+
+
+@pytest.mark.parametrize("source,summary", [
+    (_flat_and_chain(3000), "OK: 1 facts, 1 rules, goal b"),
+    (_reverse_rule_chain(1500), "OK: 1 facts, 1500 rules, goal f1500"),
+], ids=["3000-term-and", "1500-rules-reversed"])
+def test_validate_far_past_the_recursion_limit_exits_0(source, summary, tmp_path,
+                                                       capsys):
+    path = tmp_path / "deep.qrbs"
+    path.write_text(source, encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == summary
+    assert "Traceback" not in captured.err
+
+
+def test_run_flat_3000_term_rule_exits_2(tmp_path, capsys):
+    path = tmp_path / "flat.qrbs"
+    path.write_text(_flat_and_chain(3000), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: program needs 3000 qubits; the dense simulator supports 24\n"

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_ruleset
 from qrbs.inference import oracle
@@ -110,13 +112,29 @@ def test_parse_errors(source, fragment):
 
 
 def test_error_positions_are_exact():
-    with pytest.raises(DslError) as excinfo:
-        parse("fact A\nrule R: if A or Q then B\ngoal B")
-    assert (excinfo.value.line, excinfo.value.col) == (2, 17)
+    cases = [
+        ("fact A\nrule R: if A or Q then B\ngoal B", (2, 17)),
+        ("fact A$\ngoal A", (1, 7)),
+        ("fact A\nrule R: if A foo then B\ngoal B", (2, 14)),
+        ("fact A\nrule R: if A and then B\ngoal B", (2, 18)),
+        ("fact A\nfact A\ngoal A", (2, 6)),
+        ("fact A\nrule R: if A then B\nrule R: if A then C\ngoal B", (3, 6)),
+        ("fact A\nrule R1: if A then X\nrule R2: if A then X\ngoal X", (3, 20)),
+        ("fact A\nrule R1: if X then Y\nrule R2: if Y then X\ngoal X", (2, 6)),
+        ("fact A", (1, 7)),
+        ("fact A\ngoal A\ngoal A", (3, 6)),
+        ("fact A disbelief 150\ngoal A", (1, 18)),
+        ("fact A\nrule R: if A then A\ngoal A", (2, 19)),
+        ("fact A\ngoal Q", (2, 6)),
+    ]
+    for source, position in cases:
+        with pytest.raises(DslError) as excinfo:
+            parse(source)
+        assert (excinfo.value.line, excinfo.value.col) == position, source
 
     with pytest.raises(DslError) as excinfo:
-        parse("fact A$\ngoal A")
-    assert (excinfo.value.line, excinfo.value.col) == (1, 7)
+        parse("fact A\nrule R1: if X then Y\nrule R2: if Y then X\ngoal X")
+    assert str(excinfo.value) == "2:6: cycle detected: Y -> X -> Y"
 
 
 def test_comments_and_blank_lines_ignored():
@@ -245,3 +263,42 @@ def test_nesting_past_the_cap_is_a_dsl_error(kind):
     col = len("rule r: if ") + 1 + MAX_NESTING * step
     assert (info.value.line, info.value.col) == (2, col)
     assert source.splitlines()[1][info.value.col - 1:].startswith(opener)
+
+
+# Names come from one small pool, so that random rule sets often have a
+# disbelief out of range, reuse a rule name, conclude a fact twice or
+# conclude a base fact, leave a premise fact undeclared, form a cycle or miss
+# the goal, and are sometimes valid.
+_NAMES = st.sampled_from(["A", "B", "C", "X", "Y"])
+_PREMISES = st.recursive(
+    _NAMES.map(FactRef),
+    lambda sub: st.one_of(
+        sub.map(Not), st.builds(And, sub, sub), st.builds(Or, sub, sub)
+    ),
+    max_leaves=6,
+)
+_RULESETS = st.builds(
+    RuleSet,
+    st.dictionaries(
+        _NAMES,
+        st.floats(0.0, 100.0) | st.floats(min_value=0.0, allow_infinity=False),
+        max_size=4,
+    ),
+    st.lists(st.builds(Rule, st.sampled_from(["R1", "R2", "R3"]), _PREMISES, _NAMES),
+             max_size=4).map(tuple),
+    _NAMES,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_RULESETS)
+def test_parse_reports_the_first_problem_validate_reports(rs):
+    problems = validate(rs)
+    source = to_source(rs)
+    if problems:
+        with pytest.raises(DslError) as excinfo:
+            parse(source)
+        err = excinfo.value
+        assert str(err) == f"{err.line}:{err.col}: {problems[0]}"
+    else:
+        assert parse(source) == rs
