@@ -29,8 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gates import M, X
-from .ruledsl import (And, Expr, FactRef, Not, RuleSet, premise_nodes,
-                      topo_order, validate)
+from .ruledsl import And, Expr, FactRef, Not, RuleSet, premise_nodes, topo_order
 from .statevec import (MAX_QUBITS, Circuit, CircuitOp, init_zero,
                        marginal_prob_one, run, sample)
 from .uncertainty import delta_to_alpha
@@ -44,16 +43,13 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class QubitPlan:
-    """Where every fact and internal expression node lives.
+    """The qubit of each base fact and each concluded fact, of n_qubits in all.
 
-    ``node_ancillas`` is keyed by (rule name, path), where the path walks
-    the premise tree (0 = left/operand, 1 = right) to the node that owns
-    the ancilla.
+    A rule whose premise is one fact concludes onto that fact's qubit.
     """
 
     fact_qubits: dict[str, int]
     conclusion_qubits: dict[str, int]
-    node_ancillas: dict[tuple[str, tuple[int, ...]], int]
     n_qubits: int
 
 
@@ -102,9 +98,7 @@ def _block_ops(block: str, inputs: tuple[int, ...], anc: int) -> list[CircuitOp]
 
 def compile_ruleset(rs: RuleSet) -> CompiledProgram:
     """Allocate qubits, prepare base facts, lower premises bottom-up."""
-    problems = validate(rs)
-    if problems:
-        raise ValueError("invalid ruleset: " + "; ".join(problems))
+    order = topo_order(rs)
     # one qubit per base fact and one ancilla per Not/And/Or node, counted
     # before lowering, which recurses once per level of a premise
     n_qubits = len(rs.base_facts) + sum(
@@ -127,7 +121,6 @@ def compile_ruleset(rs: RuleSet) -> CompiledProgram:
         next_qubit += 1
 
     conclusion_qubits: dict[str, int] = {}
-    node_ancillas: dict[tuple[str, tuple[int, ...]], int] = {}
 
     def fresh() -> int:
         nonlocal next_qubit
@@ -135,33 +128,31 @@ def compile_ruleset(rs: RuleSet) -> CompiledProgram:
         next_qubit += 1
         return q
 
-    def lower(rule_name: str, expr: Expr, path: tuple[int, ...]) -> int:
+    def lower(expr: Expr) -> int:
         if isinstance(expr, FactRef):
             if expr.name in fact_qubits:
                 return fact_qubits[expr.name]
             return conclusion_qubits[expr.name]
         if isinstance(expr, Not):
-            source = lower(rule_name, expr.operand, path + (0,))
+            source = lower(expr.operand)
             anc = fresh()
-            node_ancillas[(rule_name, path)] = anc
             ops.extend(_block_ops("not", (source,), anc))
             return anc
-        left = lower(rule_name, expr.left, path + (0,))
-        right = lower(rule_name, expr.right, path + (1,))
+        left = lower(expr.left)
+        right = lower(expr.right)
         anc = fresh()
-        node_ancillas[(rule_name, path)] = anc
         block = "and" if isinstance(expr, And) else "or"
         ops.extend(_block_ops(block, (left, right), anc))
         return anc
 
-    for rule in topo_order(rs):
-        conclusion_qubits[rule.conclusion] = lower(rule.name, rule.premise, ())
+    for rule in order:
+        conclusion_qubits[rule.conclusion] = lower(rule.premise)
 
     goal_qubit = fact_qubits.get(rs.goal)
     if goal_qubit is None:
         goal_qubit = conclusion_qubits[rs.goal]
     circuit = Circuit(next_qubit, tuple(ops), measured_qubit=goal_qubit)
-    plan = QubitPlan(fact_qubits, conclusion_qubits, node_ancillas, next_qubit)
+    plan = QubitPlan(fact_qubits, conclusion_qubits, next_qubit)
     return CompiledProgram(circuit, plan, rs.goal, goal_qubit)
 
 

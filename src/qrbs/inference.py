@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compiler import BudgetError, CompiledProgram, compile_ruleset
-from .ruledsl import And, Expr, FactRef, Not, RuleSet, topo_order, validate
+from .ruledsl import And, Expr, FactRef, Not, RuleSet, topo_order
 from .statevec import check_shots
 from .uncertainty import fact_amplitudes
 
@@ -82,16 +82,13 @@ def _eval_expr(expr: Expr, values: dict[str, bool]) -> bool:
 
 def oracle(rs: RuleSet) -> OracleResult:
     """Classical ground truth by exhaustive enumeration of base-fact worlds."""
-    problems = validate(rs)
-    if problems:
-        raise ValueError("invalid ruleset: " + "; ".join(problems))
+    order = topo_order(rs)
     names = list(rs.base_facts)
     if len(names) > MAX_ORACLE_FACTS:
         raise BudgetError(
             f"enumeration over {len(names)} base facts exceeds "
             f"{MAX_ORACLE_FACTS}"
         )
-    order = topo_order(rs)
     p_fact = {
         name: fact_amplitudes(delta).p_true
         for name, delta in rs.base_facts.items()

@@ -13,8 +13,9 @@ Grammar (keywords case-insensitive, ``#`` starts a line comment):
 
 Precedence not > and > or, binary operators left-associative; "not" and
 "(" nest at most MAX_NESTING levels deep in one premise. Identifiers
-are ``[A-Za-z][A-Za-z0-9_]*``; keywords are reserved. A fact declared
-without a ``disbelief`` clause defaults to delta = 0 (certainly true).
+are ``[A-Za-z][A-Za-z0-9_]*`` and numbers ``[0-9]+(.[0-9]+)?``, in ASCII
+only; keywords are reserved. A fact declared without a ``disbelief``
+clause defaults to delta = 0 (certainly true).
 
 A valid program has acyclic dependencies, exactly one goal, at most one
 rule concluding any fact, and never concludes a declared base fact.
@@ -30,6 +31,8 @@ source position of the token it concerns.
 
 from __future__ import annotations
 
+import re
+import string
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Union
 
@@ -104,9 +107,6 @@ class RuleSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
 
-    def concluded_by(self) -> dict[str, Rule]:
-        return {rule.conclusion: rule for rule in self.rules}
-
 
 def premise_nodes(expr: Expr) -> Iterator[Expr]:
     """Every node of an expression in pre-order, left to right.
@@ -140,49 +140,32 @@ class Token(NamedTuple):
     col: int
 
 
+# a token, a newline, a comment, or any other non-blank character alone
+_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[0-9]+(?:\.[0-9]+)?|#[^\n]*|[^ \t\r]")
+
+
 def _tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
+    line, line_start = 1, 0  # line_start: offset of the line's first column
+    for match in _TOKEN.finditer(source):
+        text = match.group()
+        ch = text[0]
+        col = match.start() - line_start + 1
         if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
+            line, line_start = line + 1, match.end()
         elif ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-        elif ch.isalpha():
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            word = source[start:i]
-            lowered = word.lower()
-            kind = lowered if lowered in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += i - start
-        elif ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            if i < n and source[i] == "." and i + 1 < n and source[i + 1].isdigit():
-                i += 1
-                while i < n and source[i].isdigit():
-                    i += 1
-            tokens.append(Token("number", source[start:i], line, col))
-            col += i - start
+            line_start += len(text)  # so that an eof after it is at its "#"
         elif ch in ":()":
             tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
+        elif ch in string.ascii_letters:
+            kind = text.lower()
+            kind = kind if kind in KEYWORDS else "ident"
+            tokens.append(Token(kind, text, line, col))
+        elif ch in string.digits:
+            tokens.append(Token("number", text, line, col))
         else:
             raise DslError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -333,32 +316,35 @@ def parse(source: str) -> RuleSet:
 # Validation and ordering
 
 
-def _find_cycle(rs: RuleSet) -> list[str] | None:
-    """First dependency cycle among concluded facts, as a closed name path.
+def _dependency_order(rs: RuleSet) -> tuple[list[Rule], list[str] | None]:
+    """Rules in depth-first post-order, and the first cycle as a closed path.
 
-    A depth-first search over the defining rules, with an explicit stack so
-    that a chain of any length fits.
+    A rule is placed when the search of its conclusion finishes, after the
+    rules its premise depends on, so without a cycle the order is
+    topological (Tarjan 1972). Explicit stacks let a chain of any length fit.
     """
     defining = {rule.conclusion: rule for rule in rs.rules}
     state: dict[str, int] = {}  # 0 on the current path, 1 done
-    for rule in rs.rules:
-        if rule.conclusion in state:
+    order: list[Rule] = []
+    for root in defining:
+        if root in state:
             continue
-        state[rule.conclusion] = 0
-        path = [rule.conclusion]
-        deps = [premise_facts(defining[rule.conclusion].premise)]
+        state[root] = 0
+        path, deps = [root], [premise_facts(defining[root].premise)]
         while path:
             dep = next(deps[-1], None)
             if dep is None:
-                state[path.pop()] = 1
+                done = path.pop()
+                state[done] = 1
+                order.append(defining[done])
                 deps.pop()
             elif dep in defining and dep not in state:
                 state[dep] = 0
                 path.append(dep)
                 deps.append(premise_facts(defining[dep].premise))
             elif state.get(dep) == 0:
-                return path[path.index(dep) :] + [dep]
-    return None
+                return order, path[path.index(dep) :] + [dep]
+    return order, None
 
 
 def _problems(rs: RuleSet) -> Iterator[tuple[str, tuple]]:
@@ -399,7 +385,7 @@ def _problems(rs: RuleSet) -> Iterator[tuple[str, tuple]]:
                     f"undeclared fact '{name}' in premise of {rule.name}",
                     ("leaf", i, name),
                 )
-    cycle = _find_cycle(rs)
+    _, cycle = _dependency_order(rs)
     if cycle is not None:
         yield "cycle detected: " + " -> ".join(cycle), ("rule", concluded[cycle[0]])
     if rs.goal not in rs.base_facts and rs.goal not in concluded:
@@ -412,24 +398,15 @@ def validate(rs: RuleSet) -> list[str]:
 
 
 def topo_order(rs: RuleSet) -> list[Rule]:
-    """Rules reordered so each fires after the rules feeding its premise.
+    """Rules in firing order: each after the rules feeding its premise.
 
-    Ties break by declaration order, so the result is deterministic.
+    The order is _dependency_order's: the declaration order for rules
+    declared in dependency order. ValueError lists validate's problems.
     """
-    available = set(rs.base_facts)
-    remaining = list(rs.rules)
-    ordered: list[Rule] = []
-    while remaining:
-        for i, rule in enumerate(remaining):
-            if all(name in available for name in premise_facts(rule.premise)):
-                ordered.append(rule)
-                available.add(rule.conclusion)
-                del remaining[i]
-                break
-        else:
-            names = ", ".join(rule.name for rule in remaining)
-            raise ValueError(f"rules cannot be ordered (cycle among: {names})")
-    return ordered
+    problems = validate(rs)
+    if problems:
+        raise ValueError("invalid ruleset: " + "; ".join(problems))
+    return _dependency_order(rs)[0]
 
 
 # ---------------------------------------------------------------------------

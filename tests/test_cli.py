@@ -8,7 +8,7 @@ import pytest
 
 from qrbs.cli import main
 from qrbs.reference import demo_ruleset
-from qrbs.ruledsl import to_source
+from qrbs.ruledsl import parse, to_source, topo_order
 
 DEMO_SRC = to_source(demo_ruleset())
 
@@ -282,6 +282,25 @@ def test_validate_far_past_the_recursion_limit_exits_0(source, summary, tmp_path
     captured = capsys.readouterr()
     assert captured.out.strip() == summary
     assert "Traceback" not in captured.err
+
+
+def test_run_1500_rules_reversed_exits_0_and_orders_them(tmp_path, capsys):
+    source = _reverse_rule_chain(1500)
+    path = tmp_path / "chain.qrbs"
+    path.write_text(source, encoding="utf-8")
+    assert main(["run", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "f1500 p_true=0.793893 p_false=0.206107 method=exact\n"
+    assert captured.err == ""
+    order = [rule.name for rule in topo_order(parse(source))]
+    assert order == [f"r{i}" for i in range(1500)]
+
+
+def test_validate_non_ascii_digit_exits_1_at_its_position(tmp_path, capsys):
+    path = tmp_path / "digit.qrbs"
+    path.write_text("fact a disbelief ①\ngoal a\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"{path}:1:18: unexpected character '①'\n"
 
 
 def test_run_flat_3000_term_rule_exits_2(tmp_path, capsys):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_ruleset
@@ -194,6 +194,18 @@ def test_topo_order_declaration_order_tie_break():
     assert [rule.name for rule in topo_order(parse(src))] == ["R1", "R2"]
 
 
+def test_topo_order_is_depth_first_post_order():
+    src = (
+        "fact A\nfact B\n"
+        "rule R1: if X and Y then Z\n"
+        "rule R2: if B then Y\n"
+        "rule R3: if A then X\n"
+        "goal Z"
+    )
+    # R1's premise names X before Y, so R3 (concluding X) fires before R2
+    assert [rule.name for rule in topo_order(parse(src))] == ["R3", "R2", "R1"]
+
+
 def test_topo_order_single_rule():
     src = "fact A\nrule R: if A then X\ngoal X"
     assert [rule.name for rule in topo_order(parse(src))] == ["R"]
@@ -302,3 +314,24 @@ def test_parse_reports_the_first_problem_validate_reports(rs):
         assert str(err) == f"{err.line}:{err.col}: {problems[0]}"
     else:
         assert parse(source) == rs
+
+
+# DSL words and punctuation mixed with arbitrary characters: some texts are
+# programs, and the rest fail in the lexer, the parser or validate.
+_DSL_PIECES = st.sampled_from(
+    ["fact ", "rule ", "goal ", "if ", "then ", "and ", "or ", "not ",
+     "disbelief ", "A ", "B ", "X ", "R1", ":", "(", ")", "50", "12.5", "#",
+     " ", "\n"]
+)
+_DSL_TEXT = st.lists(_DSL_PIECES | st.text(max_size=3), max_size=30).map("".join)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_DSL_TEXT)
+@example("fact a disbelief ²")
+@example("fact a disbelief ①")
+def test_parse_returns_a_ruleset_or_raises_dsl_error(text):
+    try:
+        assert isinstance(parse(text), RuleSet)
+    except DslError:
+        pass
