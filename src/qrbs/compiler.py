@@ -26,12 +26,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
-
 from .gates import M, X
 from .ruledsl import And, Expr, FactRef, Not, RuleSet, premise_nodes, topo_order
-from .statevec import (MAX_QUBITS, Circuit, CircuitOp, init_zero,
-                       marginal_prob_one, run, sample)
+from .statevec import MAX_QUBITS, Circuit, CircuitOp, _draw_counts, worlds
 from .uncertainty import delta_to_alpha
 
 TRUE_BIT = 1  # basis bit value that encodes a TRUE fact
@@ -65,10 +62,12 @@ class CompiledProgram:
     def p_goal(self) -> float:
         """Exact probability of reading 1 on the goal qubit.
 
-        This is the program's one simulation: it runs on first access only.
+        This is the program's one simulation, over the worlds of its base
+        facts (``statevec.worlds``): it runs on first access only, and sums
+        the weights of the worlds whose goal plane reads 1.
         """
-        state = run(self.circuit, init_zero(self.circuit.n_qubits))
-        return marginal_prob_one(state, self.goal_qubit)
+        weights, planes = worlds(self.circuit)
+        return float(weights.sum(where=planes[self.goal_qubit]))
 
 
 def _block_ops(block: str, inputs: tuple[int, ...], anc: int) -> list[CircuitOp]:
@@ -159,9 +158,9 @@ def compile_ruleset(rs: RuleSet) -> CompiledProgram:
 def truth_table_check(block: str) -> dict[tuple[int, ...], int]:
     """Exhaustive basis-input truth table of one connective block.
 
-    Inputs are prepared as basis states, the ancilla starts at |0>, and the
-    resulting state must again be a basis state (the blocks are classical
-    permutations); the returned map reads the ancilla bit off that state.
+    Inputs are prepared as basis states with X gates and the ancilla starts
+    at |0>. The circuit has no M layer, so ``statevec.worlds`` simulates it
+    as one world, and the returned map reads the ancilla's plane there.
     """
     arity = 1 if block == "not" else 2
     out_qubit = arity
@@ -171,11 +170,8 @@ def truth_table_check(block: str) -> dict[tuple[int, ...], int]:
         ops = [CircuitOp(X, q) for q in range(arity) if bits[q]]
         ops += _block_ops(block, tuple(range(arity)), out_qubit)
         circuit = Circuit(arity + 1, tuple(ops), measured_qubit=out_qubit)
-        state = run(circuit, init_zero(arity + 1))
-        winner = int(np.argmax(np.abs(state.amps)))
-        if abs(abs(state.amps[winner]) - 1.0) > 1e-12:
-            raise AssertionError(f"{block} block left a superposition")
-        table[bits] = (winner >> out_qubit) & 1
+        _, planes = worlds(circuit)
+        table[bits] = int(planes[out_qubit, 0])
     return table
 
 
@@ -195,10 +191,13 @@ def rq_gate_demo(
 
     Both inputs are prepared at the given disbelief values (50 gives the
     even superposition), the block writes its ancilla, and the full
-    register is measured. With shots=None the percentages are the exact
-    squared amplitudes; otherwise they come from seeded sampling. Rows are
-    returned for all four input combinations in order 00, 01, 10, 11; the
-    output bit per row is the block's deterministic truth value.
+    register is measured. The register's four possible outcomes are the
+    four worlds of the two inputs (``statevec.worlds``). With shots=None the
+    percentages are the exact world weights; otherwise they come from
+    seeded sampling of those weights, which picks the same outcomes as
+    sampling the dense register. Rows are returned for all four input
+    combinations in order 00, 01, 10, 11; the output bit per row is the
+    ancilla's plane in that world, the block's deterministic truth value.
     """
     if block not in ("and", "or"):
         raise ValueError(f"demo supports 'and' and 'or', not {block!r}")
@@ -208,22 +207,14 @@ def rq_gate_demo(
     ]
     ops += _block_ops(block, (0, 1), 2)
     circuit = Circuit(3, tuple(ops), measured_qubit=2)
-    state = run(circuit, init_zero(3))
-
+    weights, planes = worlds(circuit)
     if shots is None:
-        probs = np.abs(state.amps) ** 2
-        percents = ((index, float(p) * 100.0) for index, p in enumerate(probs))
+        percents = weights * 100.0
     else:
-        counts = sample(state, shots, seed).counts
-        percents = ((int(b, 2), 100.0 * c / shots) for b, c in counts.items())
-    pct: dict[tuple[int, int], float] = {}
-    for index, percent in percents:
-        bits = (index & 1, (index >> 1) & 1)
-        pct[bits] = pct.get(bits, 0.0) + percent
-
-    table = truth_table_check(block)
+        percents = 100.0 * _draw_counts(weights, shots, seed) / shots
+    # world a + 2b has input bits (a, b)
     return [
-        DemoRow((a, b), table[(a, b)], pct.get((a, b), 0.0))
+        DemoRow((a, b), int(planes[2, a + 2 * b]), float(percents[a + 2 * b]))
         for a in (0, 1)
         for b in (0, 1)
     ]

@@ -50,7 +50,8 @@ class CrossValidation:
 
 
 def infer_exact(cp: CompiledProgram) -> InferenceResult:
-    """Exact goal marginal from the final state vector."""
+    """Exact goal marginal: the weight of the base-fact worlds whose goal
+    plane reads 1 (``CompiledProgram.p_goal``)."""
     p = cp.p_goal
     return InferenceResult(cp.goal, p, 1.0 - p, "exact")
 

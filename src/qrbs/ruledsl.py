@@ -14,8 +14,10 @@ Grammar (keywords case-insensitive, ``#`` starts a line comment):
 Precedence not > and > or, binary operators left-associative; "not" and
 "(" nest at most MAX_NESTING levels deep in one premise. Identifiers
 are ``[A-Za-z][A-Za-z0-9_]*`` and numbers ``[0-9]+(.[0-9]+)?``, in ASCII
-only; keywords are reserved. A fact declared without a ``disbelief``
-clause defaults to delta = 0 (certainly true).
+only; keywords are reserved. Letters, digits and dots glued to a number
+belong to it, so ``1e400`` is one malformed number, not ``1`` and ``e400``.
+A fact declared without a ``disbelief`` clause defaults to delta = 0
+(certainly true).
 
 A valid program has acyclic dependencies, exactly one goal, at most one
 rule concluding any fact, and never concludes a declared base fact.
@@ -26,14 +28,15 @@ repeated goal, and over-deep nesting. ``validate`` makes every other check
 on a RuleSet, however it was built: disbelief range, duplicate rule, a fact
 concluded twice, a base fact concluded, an undeclared fact, a cycle and an
 unreachable goal. ``parse`` reports the first of those problems at the
-source position of the token it concerns.
+source position of the token it concerns, and otherwise keeps the firing
+order its check found on the RuleSet, for ``topo_order``.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Union
 
 import numpy as np
@@ -46,8 +49,8 @@ KEYWORDS = frozenset(
 # once per such level, so the cap keeps it inside Python's recursion limit.
 # It does not bound an "and"/"or" chain, whose left-deep tree is as deep as
 # the chain is long: premise_nodes and validate walk any depth, the compiler
-# rejects a premise past its qubit budget before it recurses, and oracle and
-# to_source still recurse once per level of the tree.
+# rejects a premise past its qubit budget before it recurses, to_source
+# walks with an explicit stack, and oracle still recurses once per level.
 MAX_NESTING = 100
 
 
@@ -98,11 +101,19 @@ class Rule:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Base facts (name -> disbelief, in declaration order), rules, one goal."""
+    """Base facts (name -> disbelief, in declaration order), rules, one goal.
+
+    Treat instances as immutable: ``topo_order`` validates a RuleSet once and
+    keeps its firing order in ``_order``, which takes no part in equality or
+    repr. ``parse`` sets it, so a parsed RuleSet is never validated again.
+    """
 
     base_facts: dict[str, float]
     rules: tuple[Rule, ...]
     goal: str
+    _order: tuple[Rule, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
@@ -140,8 +151,11 @@ class Token(NamedTuple):
     col: int
 
 
-# a token, a newline, a comment, or any other non-blank character alone
-_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[0-9]+(?:\.[0-9]+)?|#[^\n]*|[^ \t\r]")
+# a token, a newline, a comment, or any other non-blank character alone; a
+# number runs on through any letters, digits and dots glued to it, so that
+# "1e400" is one token, which parse rejects whole
+_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[0-9][A-Za-z0-9_.]*|#[^\n]*|[^ \t\r]")
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 
 def _tokenize(source: str) -> list[Token]:
@@ -249,7 +263,9 @@ def parse(source: str) -> RuleSet:
     syntax errors, a duplicate fact, a missing or repeated goal, and
     "not"/"(" nested past MAX_NESTING. Every semantic check is made by
     validate; parse raises the first problem validate would report, at the
-    token it concerns. Raises DslError with a 1-based line and column.
+    token it concerns. Raises DslError with a 1-based line and column. The
+    returned RuleSet carries the firing order, so topo_order does not check
+    it again.
     """
     parser = _Parser(_tokenize(source))
     base_facts: dict[str, float] = {}
@@ -271,6 +287,12 @@ def parse(source: str) -> RuleSet:
             if parser.peek().kind == "disbelief":
                 parser.advance()
                 num_tok = parser.expect("number", "a number")
+                if not _NUMBER.fullmatch(num_tok.text):
+                    raise DslError(
+                        f"'{num_tok.text}' is not a valid disbelief",
+                        num_tok.line,
+                        num_tok.col,
+                    )
                 delta = float(num_tok.text)
                 parser.mark(("fact", name_tok.text), num_tok)
             base_facts[name_tok.text] = delta
@@ -305,10 +327,12 @@ def parse(source: str) -> RuleSet:
         eof = parser.peek()
         raise DslError("missing goal declaration", eof.line, eof.col)
     rs = RuleSet(base_facts, tuple(rules), goal)
-    problem = next(_problems(rs), None)
+    order, cycle = _dependency_order(rs)
+    problem = next(_problems(rs, cycle), None)
     if problem is not None:
         message, anchor = problem
         raise DslError(message, *parser.anchors[anchor])
+    object.__setattr__(rs, "_order", tuple(order))
     return rs
 
 
@@ -347,8 +371,11 @@ def _dependency_order(rs: RuleSet) -> tuple[list[Rule], list[str] | None]:
     return order, None
 
 
-def _problems(rs: RuleSet) -> Iterator[tuple[str, tuple]]:
+def _problems(rs: RuleSet, cycle: list[str] | None) -> Iterator[tuple[str, tuple]]:
     """Every semantic problem of a RuleSet, as (message, anchor) pairs.
+
+    ``cycle`` is _dependency_order's second result, which the caller keeps
+    together with the order.
 
     The anchor names what the problem concerns, for parse to place it in
     the source: ("fact", name) a base fact's disbelief, ("rule", i) the
@@ -385,7 +412,6 @@ def _problems(rs: RuleSet) -> Iterator[tuple[str, tuple]]:
                     f"undeclared fact '{name}' in premise of {rule.name}",
                     ("leaf", i, name),
                 )
-    _, cycle = _dependency_order(rs)
     if cycle is not None:
         yield "cycle detected: " + " -> ".join(cycle), ("rule", concluded[cycle[0]])
     if rs.goal not in rs.base_facts and rs.goal not in concluded:
@@ -394,7 +420,7 @@ def _problems(rs: RuleSet) -> Iterator[tuple[str, tuple]]:
 
 def validate(rs: RuleSet) -> list[str]:
     """Diagnostics for a structurally built RuleSet; empty iff it is valid."""
-    return [message for message, _ in _problems(rs)]
+    return [message for message, _ in _problems(rs, _dependency_order(rs)[1])]
 
 
 def topo_order(rs: RuleSet) -> list[Rule]:
@@ -402,11 +428,16 @@ def topo_order(rs: RuleSet) -> list[Rule]:
 
     The order is _dependency_order's: the declaration order for rules
     declared in dependency order. ValueError lists validate's problems.
+    A RuleSet is checked on its first call only, or never if ``parse``
+    built it, and keeps its order for later calls.
     """
-    problems = validate(rs)
-    if problems:
-        raise ValueError("invalid ruleset: " + "; ".join(problems))
-    return _dependency_order(rs)[0]
+    if rs._order is None:
+        order, cycle = _dependency_order(rs)
+        problems = [message for message, _ in _problems(rs, cycle)]
+        if problems:
+            raise ValueError("invalid ruleset: " + "; ".join(problems))
+        object.__setattr__(rs, "_order", tuple(order))
+    return list(rs._order)
 
 
 # ---------------------------------------------------------------------------
@@ -419,23 +450,39 @@ def _fmt_delta(delta: float) -> str:
     return np.format_float_positional(delta, trim="-")
 
 
-def _expr_source(expr: Expr) -> tuple[str, int]:
+def _expr_source(expr: Expr) -> str:
+    """DSL text of a premise, parenthesised only where precedence needs it.
+
+    Walks with an explicit stack, as premise_nodes does: each node is
+    visited before its operands and finished after them, and ``done`` holds
+    the (text, precedence) of every finished operand.
+    """
     # precedence: or=1, and=2, not=3, atom=4
-    if isinstance(expr, FactRef):
-        return expr.name, 4
-    if isinstance(expr, Not):
-        inner, prec = _expr_source(expr.operand)
-        if prec < 3:
-            inner = f"({inner})"
-        return f"not {inner}", 3
-    op, prec = ("and", 2) if isinstance(expr, And) else ("or", 1)
-    left, lp = _expr_source(expr.left)
-    right, rp = _expr_source(expr.right)
-    if lp < prec:
-        left = f"({left})"
-    if rp <= prec:  # right operand needs parens even at equal precedence
-        right = f"({right})"
-    return f"{left} {op} {right}", prec
+    done: list[tuple[str, int]] = []
+    stack: list[tuple[Expr, bool]] = [(expr, False)]
+    while stack:
+        node, operands_done = stack.pop()
+        if isinstance(node, FactRef):
+            done.append((node.name, 4))
+        elif not operands_done:
+            stack.append((node, True))
+            if isinstance(node, Not):
+                stack.append((node.operand, False))
+            else:
+                stack += ((node.right, False), (node.left, False))
+        elif isinstance(node, Not):
+            inner, prec = done.pop()
+            done.append((f"not ({inner})" if prec < 3 else f"not {inner}", 3))
+        else:
+            op, prec = ("and", 2) if isinstance(node, And) else ("or", 1)
+            (left, lp), (right, rp) = done[-2:]
+            del done[-2:]
+            if lp < prec:
+                left = f"({left})"
+            if rp <= prec:  # right operand needs parens even at equal precedence
+                right = f"({right})"
+            done.append((f"{left} {op} {right}", prec))
+    return done[0][0]
 
 
 def to_source(rs: RuleSet) -> str:
@@ -447,7 +494,8 @@ def to_source(rs: RuleSet) -> str:
         else:
             lines.append(f"fact {name} disbelief {_fmt_delta(delta)}")
     for rule in rs.rules:
-        premise, _ = _expr_source(rule.premise)
-        lines.append(f"rule {rule.name}: if {premise} then {rule.conclusion}")
+        lines.append(
+            f"rule {rule.name}: if {_expr_source(rule.premise)} then {rule.conclusion}"
+        )
     lines.append(f"goal {rs.goal}")
     return "\n".join(lines) + "\n"

@@ -1,9 +1,23 @@
-"""Dense n-qubit state-vector simulator.
+"""State simulation: bit-planes for compiled circuits, dense for the rest.
+
+Two simulators share one circuit type.
+
+* ``worlds`` simulates the circuits qrbs builds: uncontrolled M gates on
+  fresh qubits, then only X with 0-2 controls. The M layer leaves one basis
+  state per world of its k qubits, and every later gate permutes basis
+  states (Bennett 1973), so the state is a weight per world plus, for each
+  qubit, a boolean plane over the 2^k worlds. Compiled programs,
+  ``truth_table_check`` and ``rq_gate_demo`` use it; cost and memory grow
+  with 2^k, not 2^n.
+* ``run`` is the dense 2^n state vector for any circuit, H/S/T/Z
+  included, with ``init_zero``, ``apply``, ``marginal_prob_one`` and
+  ``sample`` around it.
 
 Conventions:
 
 * qubit 0 is the least significant bit of the basis index, so the basis
   state written |b_{n-1} ... b_1 b_0> has index sum(b_k << k);
+* bit i of a world index is the value of the i-th M gate's qubit;
 * histogram bitstrings use the same order, qubit n-1 leftmost;
 * controls fire on bit value 1 only (control-on-0 is expressed with X
   sandwiches by the compiler);
@@ -15,12 +29,12 @@ Conventions:
   not sample the register: it draws one seeded Binomial(shots, p) count of
   ones on the measured goal qubit (``inference.infer_shots``).
 
-States are capped at 24 qubits: this simulator is deliberately dense and
-simple, not sparse or clever.
+Circuits are capped at 24 qubits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,8 +160,8 @@ def check_shots(shots: int) -> None:
         raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
 
 
-def sample(state: StateVector, shots: int, seed: int) -> ShotHistogram:
-    """Draw ``shots`` basis states from the squared-amplitude distribution.
+def _draw_counts(weights: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Counts per index of ``shots`` seeded draws weighted by ``weights``.
 
     Draws are made in chunks of SAMPLE_CHUNK, so memory does not grow with
     the shot count. ``Generator.choice`` spends one double per draw, so the
@@ -155,12 +169,17 @@ def sample(state: StateVector, shots: int, seed: int) -> ShotHistogram:
     """
     check_shots(shots)
     rng = np.random.default_rng(seed)
-    probs = np.abs(state.amps) ** 2
-    probs = probs / probs.sum()  # absorb <=1e-9 norm drift
+    probs = weights / weights.sum()  # absorb <=1e-9 norm drift
     counts = np.zeros(probs.size, dtype=np.int64)
     for start in range(0, shots, SAMPLE_CHUNK):
         draws = rng.choice(probs.size, size=min(SAMPLE_CHUNK, shots - start), p=probs)
         counts += np.bincount(draws, minlength=probs.size)
+    return counts
+
+
+def sample(state: StateVector, shots: int, seed: int) -> ShotHistogram:
+    """Draw ``shots`` basis states from the squared-amplitude distribution."""
+    counts = _draw_counts(np.abs(state.amps) ** 2, shots, seed)
     width = state.n_qubits
     return ShotHistogram(
         shots=shots,
@@ -169,3 +188,55 @@ def sample(state: StateVector, shots: int, seed: int) -> ShotHistogram:
             format(int(v), f"0{width}b"): int(counts[v]) for v in np.flatnonzero(counts)
         },
     )
+
+
+def worlds(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """World weights and qubit bit-planes of an M-then-permutation circuit.
+
+    The circuit must open with uncontrolled M gates on distinct qubits and
+    then apply only X with 0-2 controls; any other op raises ValueError.
+    With k M gates, ``weights[w]`` (float64, 2^k) is the probability of
+    world w, and ``planes[q, w]`` (bool, n_qubits x 2^k) is qubit q's bit in
+    that world's final basis state. X is ``~t``, CN ``t ^= c`` and CCN
+    ``t ^= a & b``, each in place.
+    """
+    ops = circuit.ops
+    prepared: list[int] = []  # qubit of the i-th M gate
+    for i, op in enumerate(ops):
+        if op.gate.name != "M":
+            break
+        if op.controls:
+            raise ValueError(f"op {i}: M on q{op.target} has controls {op.controls}")
+        if op.target in prepared:
+            raise ValueError(f"op {i}: M on q{op.target}, which is already prepared")
+        prepared.append(op.target)
+    k = len(prepared)
+    for i, op in enumerate(ops[k:], start=k):
+        if op.gate.name != "X":
+            raise ValueError(
+                f"op {i}: {op.gate!r} on q{op.target} after the M layer; "
+                "only X, CN and CCN may follow it"
+            )
+
+    weights = np.empty(1 << k)
+    weights[0] = 1.0
+    planes = np.zeros((circuit.n_qubits, 1 << k), dtype=bool)
+    for i, (op, q) in enumerate(zip(ops, prepared)):
+        # M(theta)|0> = sin(theta)|0> + cos(theta)|1>: double the amplitudes
+        size = 1 << i
+        np.multiply(weights[:size], math.cos(op.gate.theta), out=weights[size : 2 * size])
+        weights[:size] *= math.sin(op.gate.theta)
+        planes[q].reshape(-1, 2, size)[:, 1, :] = True
+    weights *= weights  # amplitudes are real: squaring gives probabilities
+    both = np.empty(1 << k, dtype=bool)  # a & b of the current CCN
+    for op in ops[k:]:
+        t = planes[op.target]
+        if not op.controls:
+            np.logical_not(t, out=t)
+        elif len(op.controls) == 1:
+            t ^= planes[op.controls[0]]
+        else:
+            a, b = op.controls
+            np.logical_and(planes[a], planes[b], out=both)
+            t ^= both
+    return weights, planes

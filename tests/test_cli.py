@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from qrbs.cli import main
+from qrbs.inference import oracle
 from qrbs.reference import demo_ruleset
 from qrbs.ruledsl import parse, to_source, topo_order
 
@@ -309,3 +310,21 @@ def test_run_flat_3000_term_rule_exits_2(tmp_path, capsys):
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: program needs 3000 qubits; the dense simulator supports 24\n"
+
+
+def test_run_23_qubit_chain_prints_the_oracle_value(tmp_path, capsys):
+    # 12 facts joined by 11 alternating and/or rules: 12 + 11 = 23 qubits
+    lines = [f"fact f{i} disbelief {7 * i + 5}" for i in range(12)]
+    previous = "f0"
+    for i in range(1, 12):
+        op = "and" if i % 2 else "or"
+        lines.append(f"rule r{i}: if {previous} {op} f{i} then c{i}")
+        previous = f"c{i}"
+    source = "\n".join(lines + [f"goal {previous}"]) + "\n"
+    path = tmp_path / "chain23.qrbs"
+    path.write_text(source, encoding="utf-8")
+    assert main(["run", str(path), "--format", "jsonl"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    p_true = json.loads(captured.out)["p_true"]
+    assert p_true == pytest.approx(oracle(parse(source)).p_true, abs=1e-9)

@@ -134,18 +134,19 @@ def test_shot_estimates_converge_at_four_sigma():
 def test_exact_and_shots_share_one_simulation(monkeypatch):
     runs = []
 
-    def counting_run(circuit, initial):
+    def counting_worlds(circuit):
         runs.append(circuit)
-        return statevec.run(circuit, initial)
+        return statevec.worlds(circuit)
 
     def no_sample(*args):
         raise AssertionError("shot inference must not sample the register")
 
     for module in (compiler, inference):
-        if hasattr(module, "run"):
-            monkeypatch.setattr(module, "run", counting_run)
-        if hasattr(module, "sample"):
-            monkeypatch.setattr(module, "sample", no_sample)
+        if hasattr(module, "worlds"):
+            monkeypatch.setattr(module, "worlds", counting_worlds)
+        for name in ("sample", "_draw_counts"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_sample)
     cp = compile_ruleset(demo_ruleset())
     exact = infer_exact(cp)
     infer_shots(cp, 8192, 3)

@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_ruleset
+from qrbs import compiler, ruledsl
 from qrbs.inference import oracle
 from qrbs.ruledsl import (
     MAX_NESTING,
@@ -15,6 +16,7 @@ from qrbs.ruledsl import (
     RuleSet,
     parse,
     premise_facts,
+    premise_nodes,
     to_source,
     topo_order,
     validate,
@@ -245,6 +247,68 @@ def test_random_rulesets_validate_and_order():
             assert all(name in produced for name in premise_facts(rule.premise))
             produced.add(rule.conclusion)
         assert parse(to_source(rs)) == rs
+
+
+def test_to_source_round_trips_a_3000_term_and_rule():
+    premise = FactRef("a0")
+    for i in range(1, 3000):
+        premise = And(premise, FactRef(f"a{i % 7}"))
+    rs = RuleSet({f"a{i}": float(i) for i in range(7)}, (Rule("R", premise, "b"),), "b")
+    back = parse(to_source(rs))
+    # == on trees this deep would recurse past the limit: compare the
+    # pre-order node lists, which determine a tree
+    def shape(expr):
+        return [(type(node), getattr(node, "name", None)) for node in premise_nodes(expr)]
+
+    assert shape(back.rules[0].premise) == shape(premise)
+    assert (back.base_facts, back.rules[0].name, back.goal) == (rs.base_facts, "R", "b")
+
+
+@pytest.mark.parametrize("number", ["1e400", "1e2", "1.5.3", "2.", "50fact"])
+def test_malformed_disbelief_is_reported_whole(number):
+    with pytest.raises(DslError) as excinfo:
+        parse(f"fact a disbelief {number}\ngoal a")
+    assert str(excinfo.value) == f"1:18: '{number}' is not a valid disbelief"
+
+
+def test_parsed_ruleset_is_not_validated_again(monkeypatch):
+    rs = parse(DEMO_SRC)
+
+    def no_check(*args):
+        raise AssertionError("a parsed RuleSet must not be validated again")
+
+    monkeypatch.setattr(ruledsl, "_problems", no_check)
+    monkeypatch.setattr(ruledsl, "_dependency_order", no_check)
+    assert [rule.name for rule in topo_order(rs)] == ["R1", "R2", "R3"]
+    compiler.compile_ruleset(rs)
+    oracle(rs)
+
+
+def test_hand_built_ruleset_is_validated_once(monkeypatch):
+    checks = []
+    problems = ruledsl._problems
+
+    def counting_problems(rs, cycle):
+        checks.append(rs)
+        return problems(rs, cycle)
+
+    monkeypatch.setattr(ruledsl, "_problems", counting_problems)
+    rs = RuleSet({"A": 10.0, "B": 20.0}, (Rule("R", And(FactRef("A"), FactRef("B")), "X"),), "X")
+    topo_order(rs)
+    compiler.compile_ruleset(rs)
+    oracle(rs)
+    assert checks == [rs]
+    invalid = RuleSet({"A": 0.0}, (), "Q")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="invalid ruleset"):
+            topo_order(invalid)
+
+
+def test_cached_order_is_not_part_of_equality_or_repr():
+    parsed = parse(DEMO_SRC)
+    built = RuleSet(dict(parsed.base_facts), parsed.rules, parsed.goal)
+    assert parsed == built
+    assert repr(parsed) == repr(built)
 
 
 def _nested(kind: str, depth: int) -> str:

@@ -1,9 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from helpers import random_ruleset
+from qrbs.compiler import compile_ruleset
 from qrbs.gates import H, M, S, T, X, Z, matrix_of
+from qrbs.reference import TABLE8, demo_ruleset
 from qrbs.statevec import (
     MAX_SHOTS,
     SAMPLE_CHUNK,
@@ -15,6 +19,7 @@ from qrbs.statevec import (
     marginal_prob_one,
     run,
     sample,
+    worlds,
 )
 
 SQRT2_INV = 1 / math.sqrt(2.0)
@@ -256,3 +261,65 @@ def test_chunked_sample_equals_one_choice_call():
 def test_sample_rejects_shots_past_int64():
     with pytest.raises(ValueError, match="shots"):
         sample(init_zero(1), MAX_SHOTS + 1, seed=0)
+
+
+def test_worlds_of_one_prepared_qubit():
+    theta = 0.3
+    weights, planes = worlds(Circuit(2, (CircuitOp(M(theta), 1),), measured_qubit=1))
+    assert weights == pytest.approx([math.sin(theta) ** 2, math.cos(theta) ** 2])
+    assert planes.tolist() == [[False, False], [False, True]]
+
+
+def test_worlds_without_m_layer_is_one_basis_state():
+    ops = (CircuitOp(X, 0), CircuitOp(X, 2, controls=(0,)), CircuitOp(X, 1, controls=(0, 2)))
+    weights, planes = worlds(Circuit(3, ops, measured_qubit=1))
+    assert weights.tolist() == [1.0]
+    assert planes[:, 0].tolist() == [True, True, True]
+
+
+def _assert_worlds_match_dense(circuit):
+    weights, planes = worlds(circuit)
+    state = run(circuit, init_zero(circuit.n_qubits))
+    for q in range(circuit.n_qubits):
+        assert abs(weights.sum(where=planes[q]) - marginal_prob_one(state, q)) <= 1e-12
+
+
+def test_worlds_match_dense_on_random_networks():
+    for seed in range(1000):
+        circuit = compile_ruleset(random_ruleset(seed)).circuit
+        assert circuit.n_qubits <= 14
+        _assert_worlds_match_dense(circuit)
+
+
+def test_worlds_match_dense_on_random_permutation_circuits():
+    # unlike compiled programs, these M layers skip qubits and come in any
+    # order, and X, CN and CCN may target any qubit, prepared ones included
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n = int(rng.integers(3, 10))
+        prepared = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+        ops = [CircuitOp(M(rng.uniform(-3.0, 3.0)), int(q)) for q in prepared]
+        ops += [_random_op(rng, n, ["X", "CN", "CCN"]) for _ in range(int(rng.integers(0, 30)))]
+        _assert_worlds_match_dense(Circuit(n, tuple(ops), measured_qubit=0))
+
+
+def test_worlds_match_dense_on_table8():
+    for deltas, _ in TABLE8:
+        _assert_worlds_match_dense(compile_ruleset(demo_ruleset(deltas)).circuit)
+
+
+@pytest.mark.parametrize(
+    "ops,offender",
+    [
+        ((CircuitOp(M(0.4), 0), CircuitOp(H, 1)), "op 1: H on q1 after the M layer"),
+        ((CircuitOp(M(0.4), 0), CircuitOp(M(0.5), 1, controls=(0,))),
+         "op 1: M on q1 has controls (0,)"),
+        ((CircuitOp(M(0.4), 0), CircuitOp(M(0.5), 0)), "op 1: M on q0, which is already"),
+        ((CircuitOp(M(0.4), 0), CircuitOp(X, 1), CircuitOp(M(0.5), 2)),
+         "op 2: M(0.500000) on q2 after the M layer"),
+    ],
+    ids=["h-after-m", "controlled-m", "m-twice", "m-after-x"],
+)
+def test_worlds_rejects_other_circuits(ops, offender):
+    with pytest.raises(ValueError, match=re.escape(offender)):
+        worlds(Circuit(3, ops, measured_qubit=0))
