@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Commands: run, validate, compile, tables, table8, gatedemo. Exit status is
-0 on success, 1 on parse/validation problems (diagnostics on stderr), 2
-when a program exceeds the simulator or enumeration budget.
+Commands: run, validate, compile, tables, table8, gatedemo. ``main``
+returns the exit status and never raises ``SystemExit``: 0 on success
+(``-h`` included), 1 on a usage error or a parse/validation problem
+(diagnostics on stderr), 2 when a program exceeds the simulator or
+enumeration budget. ``main`` may be called many times in one process; it
+builds its argument parser once, on first use.
 
 All CSV output uses '.' as the decimal separator, LF line endings and
 fixed 5-decimal formatting, so files are byte-identical across runs given
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -331,8 +335,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Sharing one parser is safe: parse_args reads its actions and defaults
+    # but never writes them, and help text gets a fresh formatter, and with
+    # it the current terminal width, each time it is printed.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exit_:
+        # argparse exits 0 after -h and 2 after printing a usage error; 2 is
+        # the budget status here, so a usage error returns 1
+        return 1 if exit_.code else 0
     try:
         return args.func(args)
     except DslError as err:

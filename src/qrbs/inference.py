@@ -16,7 +16,7 @@ import numpy as np
 
 from .compiler import BudgetError, CompiledProgram, compile_ruleset
 from .ruledsl import And, Expr, FactRef, Not, RuleSet, topo_order
-from .statevec import check_shots
+from .statevec import check_seed, check_shots
 from .uncertainty import fact_amplitudes
 
 MAX_ORACLE_FACTS = 20
@@ -64,6 +64,7 @@ def infer_shots(cp: CompiledProgram, shots: int, seed: int) -> InferenceResult:
     marginal ``cp.p_goal``. Memory is O(1) for any shot count.
     """
     check_shots(shots)
+    check_seed(seed)
     # min() absorbs norm drift that could put p a few ulps above 1
     ones = int(np.random.default_rng(seed).binomial(shots, min(cp.p_goal, 1.0)))
     return InferenceResult(

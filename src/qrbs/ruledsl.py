@@ -15,7 +15,8 @@ Precedence not > and > or, binary operators left-associative; "not" and
 "(" nest at most MAX_NESTING levels deep in one premise. Identifiers
 are ``[A-Za-z][A-Za-z0-9_]*`` and numbers ``[0-9]+(.[0-9]+)?``, in ASCII
 only; keywords are reserved. Letters, digits and dots glued to a number
-belong to it, so ``1e400`` is one malformed number, not ``1`` and ``e400``.
+belong to it, as does a sign right after an ``e`` or ``E``, so ``1e400`` and
+``1e-5`` are each one malformed number, not ``1`` and ``e400``.
 A fact declared without a ``disbelief`` clause defaults to delta = 0
 (certainly true).
 
@@ -152,9 +153,13 @@ class Token(NamedTuple):
 
 
 # a token, a newline, a comment, or any other non-blank character alone; a
-# number runs on through any letters, digits and dots glued to it, so that
-# "1e400" is one token, which parse rejects whole
-_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[0-9][A-Za-z0-9_.]*|#[^\n]*|[^ \t\r]")
+# number runs on through any letters, digits and dots glued to it, and a sign
+# right after an e or E, so that "1e400" and "1e-5" are one token each, which
+# parse rejects whole
+_TOKEN = re.compile(
+    r"[A-Za-z][A-Za-z0-9_]*|[0-9][A-Za-z0-9_.]*(?:(?<=[eE])[+-][A-Za-z0-9_.]*)*"
+    r"|#[^\n]*|[^ \t\r]"
+)
 _NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 

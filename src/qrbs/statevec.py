@@ -160,6 +160,12 @@ def check_shots(shots: int) -> None:
         raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
 
 
+def check_seed(seed: int) -> None:
+    """Reject negative seeds, which numpy's generators do not accept."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def _draw_counts(weights: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Counts per index of ``shots`` seeded draws weighted by ``weights``.
 
@@ -168,6 +174,7 @@ def _draw_counts(weights: np.ndarray, shots: int, seed: int) -> np.ndarray:
     counts equal those of a single call of ``shots`` draws.
     """
     check_shots(shots)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     probs = weights / weights.sum()  # absorb <=1e-9 norm drift
     counts = np.zeros(probs.size, dtype=np.int64)

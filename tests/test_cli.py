@@ -1,11 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from qrbs import cli
 from qrbs.cli import main
 from qrbs.inference import oracle
 from qrbs.reference import demo_ruleset
@@ -236,15 +241,22 @@ def test_run_huge_shot_count_exits_0(demo_file, capsys):
     assert "shots=100000000000" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", [
+def _fill(template, demo_file, out):
+    """``template`` with DEMO replaced by the demo program and OUT by ``out``."""
+    return [demo_file if a == "DEMO" else str(out) if a == "OUT" else a for a in template]
+
+
+_SAMPLING_COMMANDS = [
     ["run", "DEMO", "--mode", "shots"],
     ["tables", "7", "--out", "OUT"],
     ["table8", "--out", "OUT"],
     ["gatedemo", "and", "--out", "OUT"],
-])
+]
+
+
+@pytest.mark.parametrize("command", _SAMPLING_COMMANDS)
 def test_shot_count_past_int64_exits_1(command, demo_file, tmp_path, capsys):
-    argv = [demo_file if a == "DEMO" else str(tmp_path / "x.csv") if a == "OUT" else a
-            for a in command]
+    argv = _fill(command, demo_file, tmp_path / "x.csv")
     assert main(argv + ["--shots", str(10**30)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: shots must be in [1, ")
@@ -328,3 +340,154 @@ def test_run_23_qubit_chain_prints_the_oracle_value(tmp_path, capsys):
     assert captured.err == ""
     p_true = json.loads(captured.out)["p_true"]
     assert p_true == pytest.approx(oracle(parse(source)).p_true, abs=1e-9)
+
+
+@pytest.mark.parametrize("command", _SAMPLING_COMMANDS)
+def test_negative_seed_exits_1(command, demo_file, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(_fill(command, demo_file, out) + ["--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: command"),
+    (["run", "DEMO", "--shots", "abc"], "argument --shots: invalid int value: 'abc'"),
+    (["run", "DEMO", "--mode", "bogus"], "argument --mode: invalid choice: 'bogus'"),
+    (["tables", "9", "--out", "OUT"], "argument which: invalid choice: 9"),
+], ids=["no-command", "shots-abc", "mode-bogus", "tables-9"])
+def test_usage_error_returns_1(argv, message, demo_file, tmp_path, capsys):
+    assert main(_fill(argv, demo_file, tmp_path / "x.csv")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qrbs")
+    assert f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["run", "--help"]])
+def test_help_returns_0(argv, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: qrbs") and captured.err == ""
+
+
+# --- one parser per process -------------------------------------------------
+
+
+def _cli_round(demo_file, tmp_path):
+    """The commands of one round of the benchmark's cli workload, plus help,
+    a usage error and gatedemo."""
+    runs = [["run", demo_file, "--format", fmt, *mode]
+            for mode in (["--mode", "exact"], ["--mode", "shots", "--seed", "7"])
+            for fmt in ("human", "csv", "jsonl")]
+    return runs + [
+        ["compile", demo_file, "--out", str(tmp_path / "demo.circuit")],
+        ["tables", "7", "--out", str(tmp_path / "t7.csv"), "--seed", "7"],
+        ["table8", "--out", str(tmp_path / "t8.csv"), "--seed", "7"],
+        ["gatedemo", "and", "--out", str(tmp_path / "and.csv"), "--seed", "7"],
+        ["gatedemo", "or", "--out", str(tmp_path / "or.csv"), "--seed", "7"],
+        ["run", "--help"],
+        ["tables", "9", "--out", str(tmp_path / "t9.csv")],
+    ]
+
+
+def _outputs(argvs, tmp_path, capsys):
+    results = []
+    for argv in argvs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in sorted(tmp_path.iterdir())}
+        results.append((argv, code, captured.out, captured.err, files))
+    return results
+
+
+def test_shared_parser_output_matches_a_fresh_parser(demo_file, tmp_path, monkeypatch,
+                                                     capsys):
+    argvs = _cli_round(demo_file, tmp_path)
+    shared = _outputs(argvs + argvs, tmp_path, capsys)
+    for path in tmp_path.iterdir():
+        if str(path) != demo_file:
+            path.unlink()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = _outputs(argvs + argvs, tmp_path, capsys)
+    assert [code for _, code, *_ in fresh] == ([0] * 12 + [1]) * 2
+    assert shared == fresh
+
+
+def test_nine_calls_build_the_parser_once(demo_file, tmp_path, monkeypatch, capsys):
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        codes = [main(argv) for argv in _cli_round(demo_file, tmp_path)[:9]]
+    finally:
+        cli._parser.cache_clear()
+    assert codes == [0] * 9
+    assert len(builds) == 1
+
+
+def _mostly(good, bad):
+    """``good`` three times in four, else ``bad``."""
+    return st.integers(0, 3).flatmap(lambda i: good if i else bad)
+
+
+_PROGRAMS = ["demo.qrbs", "bad.qrbs", "big.qrbs", "missing.qrbs", "."]
+_PATHS = {*_PROGRAMS, "out.csv", "nodir/out.csv"}  # names under tmp_path
+_PROGRAM = _mostly(st.just("demo.qrbs"), st.sampled_from(_PROGRAMS[1:]))
+_OUT = _mostly(st.just("out.csv"), st.sampled_from(["nodir/out.csv", "."]))
+# per command: its positional arguments and its options besides --out
+_COMMANDS = {
+    "run": ([_PROGRAM], ["--mode", "--format", "--shots", "--seed"]),
+    "validate": ([_PROGRAM], []),
+    "compile": ([_PROGRAM], []),
+    "tables": ([_mostly(st.sampled_from("4567"), st.just("9"))], ["--shots", "--seed"]),
+    "table8": ([], ["--shots", "--seed"]),
+    "gatedemo": ([_mostly(st.sampled_from(["and", "or"]), st.just("xor"))],
+                 ["--shots", "--seed"]),
+    "bogus": ([], []),
+}
+_OPTION_VALUES = {
+    "--mode": _mostly(st.sampled_from(["exact", "shots"]), st.just("bogus")),
+    "--format": _mostly(st.sampled_from(["human", "csv", "jsonl"]), st.just("xml")),
+    "--shots": _mostly(st.integers(1, 10**4), st.sampled_from([-1, 0, "abc"])),
+    "--seed": _mostly(st.integers(0, 2**70), st.sampled_from([-1, "x"])),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A command with its positionals and options, each value valid three
+    times in four; now and then one token that does not belong, or nothing."""
+    command = draw(st.sampled_from([None, *_COMMANDS]))
+    if command is None:
+        return []
+    positionals, options = _COMMANDS[command]
+    argv = [command] + [draw(positional) for positional in positionals]
+    if command in ("compile", "tables", "table8", "gatedemo"):
+        argv += ["--out", draw(_OUT)]
+    for flag in draw(st.lists(st.sampled_from(options), unique=True)) if options else []:
+        argv += [flag, str(draw(_OPTION_VALUES[flag]))]
+    argv += draw(_mostly(st.just([]), st.sampled_from([["-h"], ["--shots"], ["extra"]])))
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs())
+def test_main_returns_a_status_for_any_arguments(argv, tmp_path, demo_file):
+    (tmp_path / "bad.qrbs").write_text("fact A\ngoal Q\n", encoding="utf-8")
+    (tmp_path / "big.qrbs").write_text(
+        "\n".join(f"fact F{i}" for i in range(30)) + "\ngoal F0\n", encoding="utf-8")
+    argv = [str(tmp_path / a) if a in _PATHS else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -271,6 +271,13 @@ def test_malformed_disbelief_is_reported_whole(number):
     assert str(excinfo.value) == f"1:18: '{number}' is not a valid disbelief"
 
 
+@pytest.mark.parametrize("number", ["1e-5", "1E+5"])
+def test_signed_exponent_stays_in_the_malformed_disbelief(number):
+    with pytest.raises(DslError) as excinfo:
+        parse(f"fact a disbelief {number}\ngoal a")
+    assert str(excinfo.value) == f"1:18: '{number}' is not a valid disbelief"
+
+
 def test_parsed_ruleset_is_not_validated_again(monkeypatch):
     rs = parse(DEMO_SRC)
 
