@@ -28,14 +28,18 @@ from typing import NamedTuple
 
 from .gates import M, X
 from .ruledsl import And, Expr, FactRef, Not, RuleSet, premise_nodes, topo_order
-from .statevec import MAX_QUBITS, Circuit, CircuitOp, _draw_counts, worlds
+from .statevec import (
+    MAX_QUBITS,
+    BudgetError,
+    Circuit,
+    CircuitOp,
+    _draw_counts,
+    plane_weight,
+    worlds,
+)
 from .uncertainty import delta_to_alpha
 
 TRUE_BIT = 1  # basis bit value that encodes a TRUE fact
-
-
-class BudgetError(RuntimeError):
-    """The program needs more qubits (or assignments) than supported."""
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ class CompiledProgram:
         the weights of the worlds whose goal plane reads 1.
         """
         weights, planes = worlds(self.circuit)
-        return float(weights.sum(where=planes[self.goal_qubit]))
+        return plane_weight(weights, planes[self.goal_qubit])
 
 
 def _block_ops(block: str, inputs: tuple[int, ...], anc: int) -> list[CircuitOp]:
@@ -108,7 +112,7 @@ def compile_ruleset(rs: RuleSet) -> CompiledProgram:
     if n_qubits > MAX_QUBITS:
         raise BudgetError(
             f"program needs {n_qubits} qubits; "
-            f"the dense simulator supports {MAX_QUBITS}"
+            f"compiled programs may use at most {MAX_QUBITS}"
         )
 
     ops: list[CircuitOp] = []
@@ -160,7 +164,7 @@ def truth_table_check(block: str) -> dict[tuple[int, ...], int]:
 
     Inputs are prepared as basis states with X gates and the ancilla starts
     at |0>. The circuit has no M layer, so ``statevec.worlds`` simulates it
-    as one world, and the returned map reads the ancilla's plane there.
+    as one world, and the returned map reads bit 0 of the ancilla's plane.
     """
     arity = 1 if block == "not" else 2
     out_qubit = arity
@@ -171,7 +175,7 @@ def truth_table_check(block: str) -> dict[tuple[int, ...], int]:
         ops += _block_ops(block, tuple(range(arity)), out_qubit)
         circuit = Circuit(arity + 1, tuple(ops), measured_qubit=out_qubit)
         _, planes = worlds(circuit)
-        table[bits] = int(planes[out_qubit, 0])
+        table[bits] = planes[out_qubit] & 1
     return table
 
 
@@ -214,7 +218,7 @@ def rq_gate_demo(
         percents = 100.0 * _draw_counts(weights, shots, seed) / shots
     # world a + 2b has input bits (a, b)
     return [
-        DemoRow((a, b), int(planes[2, a + 2 * b]), float(percents[a + 2 * b]))
+        DemoRow((a, b), planes[2] >> (a + 2 * b) & 1, float(percents[a + 2 * b]))
         for a in (0, 1)
         for b in (0, 1)
     ]

@@ -10,9 +10,9 @@ the oracle to floating-point accuracy; cross_validate asserts exactly that.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-
-import numpy as np
+from math import fabs, floor, lgamma, log, log2, sqrt
 
 from .compiler import BudgetError, CompiledProgram, compile_ruleset
 from .ruledsl import And, Expr, FactRef, Not, RuleSet, topo_order
@@ -60,16 +60,76 @@ def infer_shots(cp: CompiledProgram, shots: int, seed: int) -> InferenceResult:
     """Goal probability estimated from ``shots`` seeded measurements.
 
     Each shot measures the circuit's single measured qubit, the goal, so the
-    count of ones is one seeded Binomial(shots, p) draw on the exact goal
-    marginal ``cp.p_goal``. Memory is O(1) for any shot count.
+    count of ones is one Binomial(shots, p) draw on the exact goal marginal
+    ``cp.p_goal``. It is drawn from ``random.Random(seed)``, the standard
+    library's Mersenne Twister (MT19937), by ``_binomialvariate``: Devroye's
+    geometric method when shots * p < 10, Hörmann's BTRS otherwise. Time
+    and memory are O(1) in the shot count, and no numpy generator is built.
     """
     check_shots(shots)
     check_seed(seed)
     # min() absorbs norm drift that could put p a few ulps above 1
-    ones = int(np.random.default_rng(seed).binomial(shots, min(cp.p_goal, 1.0)))
+    ones = _binomialvariate(random.Random(seed), shots, min(cp.p_goal, 1.0))
     return InferenceResult(
         cp.goal, ones / shots, (shots - ones) / shots, "shots", shots, seed
     )
+
+
+def _binomialvariate(rng: random.Random, n: int, p: float) -> int:
+    """A Binomial(n, p) count, 0 <= p <= 1, drawn from ``rng``.
+
+    A port of CPython 3.12's ``Random.binomialvariate``, which 3.10 and 3.11
+    lack: for the same generator state it returns the same count and
+    consumes the same draws. Below n * p = 10 it counts geometric gaps
+    between successes (Devroye 1986); otherwise it uses transformed
+    rejection with squeeze (BTRS, Hörmann 1993), with the log(v) the paper
+    omits from the acceptance test.
+    """
+    if p == 0.0:
+        return 0
+    if p == 1.0:
+        return n
+    uniform = rng.random
+    if n == 1:
+        return int(uniform() < p)
+    if p > 0.5:
+        return n - _binomialvariate(rng, n, 1.0 - p)
+
+    if n * p < 10.0:
+        x = y = 0
+        c = log2(1.0 - p)
+        if not c:
+            return x
+        while True:
+            y += floor(log2(uniform()) / c) + 1
+            if y > n:
+                return x
+            x += 1
+
+    spq = sqrt(n * p * (1.0 - p))  # standard deviation
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    setup_complete = False
+    while True:
+        u = uniform() - 0.5
+        us = 0.5 - fabs(u)
+        k = floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = uniform()
+        if us >= 0.07 and v <= vr:  # squeeze: accept without the test below
+            return k
+        if not setup_complete:
+            alpha = (2.83 + 5.1 / b) * spq
+            lpq = log(p / (1.0 - p))
+            m = floor((n + 1) * p)  # mode
+            h = lgamma(m + 1) + lgamma(n - m + 1)
+            setup_complete = True
+        v *= alpha / (a / (us * us) + b)
+        if log(v) <= h - lgamma(k + 1) - lgamma(n - k + 1) + (k - m) * lpq:
+            return k
 
 
 def _eval_expr(expr: Expr, values: dict[str, bool]) -> bool:

@@ -6,9 +6,10 @@ Two simulators share one circuit type.
   fresh qubits, then only X with 0-2 controls. The M layer leaves one basis
   state per world of its k qubits, and every later gate permutes basis
   states (Bennett 1973), so the state is a weight per world plus, for each
-  qubit, a boolean plane over the 2^k worlds. Compiled programs,
-  ``truth_table_check`` and ``rq_gate_demo`` use it; cost and memory grow
-  with 2^k, not 2^n.
+  qubit, a plane of 2^k bits held in one Python int, one bit per world.
+  ``plane_weight`` sums the weights of the worlds where a plane reads 1.
+  Compiled programs, ``truth_table_check`` and ``rq_gate_demo`` use them;
+  cost and memory grow with 2^k, not 2^n.
 * ``run`` is the dense 2^n state vector for any circuit, H/S/T/Z
   included, with ``init_zero``, ``apply``, ``marginal_prob_one`` and
   ``sample`` around it.
@@ -17,17 +18,21 @@ Conventions:
 
 * qubit 0 is the least significant bit of the basis index, so the basis
   state written |b_{n-1} ... b_1 b_0> has index sum(b_k << k);
-* bit i of a world index is the value of the i-th M gate's qubit;
+* bit i of a world index is the value of the i-th M gate's qubit, and bit
+  w of a plane is the qubit's value in world w;
 * histogram bitstrings use the same order, qubit n-1 leftmost;
 * controls fire on bit value 1 only (control-on-0 is expressed with X
   sandwiches by the compiler);
 * ``run`` updates one copy of the initial state in place, viewed as a
   (2,)*n array whose axis n-1-q is qubit q;
-* ``sample`` draws whole-register outcomes with numpy's seeded PCG64
-  generator (128-bit state), so a (state, shots, seed) triple always
-  reproduces the same histogram. Shot inference on a compiled program does
-  not sample the register: it draws one seeded Binomial(shots, p) count of
-  ones on the measured goal qubit (``inference.infer_shots``).
+* register sampling (``sample`` and ``rq_gate_demo``'s shots) draws
+  whole-register outcomes with numpy's seeded PCG64 generator (128-bit
+  state), so a (state, shots, seed) triple always reproduces the same
+  histogram; it costs one draw per shot, so it stops at
+  MAX_SAMPLED_SHOTS. Shot inference on a compiled program does not sample
+  the register: it draws one seeded Binomial(shots, p) count of ones on the
+  measured goal qubit from the standard library's generator
+  (``inference.infer_shots``).
 
 Circuits are capped at 24 qubits.
 """
@@ -42,8 +47,15 @@ import numpy as np
 from .gates import Gate, matrix_of
 
 MAX_QUBITS = 24
-MAX_SHOTS = 2**63 - 1  # largest count numpy's int64 draws accept
+MAX_SHOTS = 2**63 - 1  # the largest int64: every shot count fits one
 SAMPLE_CHUNK = 1 << 20
+# Register sampling spends about 29 ns per shot (2.9 s for 10^8 shots on a
+# 2.1 GHz Xeon): a few seconds at this budget, millennia at MAX_SHOTS.
+MAX_SAMPLED_SHOTS = 10**8
+
+
+class BudgetError(RuntimeError):
+    """The program needs more qubits, assignments or shots than supported."""
 
 
 @dataclass(frozen=True)
@@ -161,7 +173,8 @@ def check_shots(shots: int) -> None:
 
 
 def check_seed(seed: int) -> None:
-    """Reject negative seeds, which numpy's generators do not accept."""
+    """Reject negative seeds. ``random.Random`` would seed with abs(seed),
+    so -s would quietly repeat the draws of s."""
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
@@ -171,10 +184,16 @@ def _draw_counts(weights: np.ndarray, shots: int, seed: int) -> np.ndarray:
 
     Draws are made in chunks of SAMPLE_CHUNK, so memory does not grow with
     the shot count. ``Generator.choice`` spends one double per draw, so the
-    counts equal those of a single call of ``shots`` draws.
+    counts equal those of a single call of ``shots`` draws. Time does grow
+    with it, so more than MAX_SAMPLED_SHOTS shots raise BudgetError.
     """
     check_shots(shots)
     check_seed(seed)
+    if shots > MAX_SAMPLED_SHOTS:
+        raise BudgetError(
+            f"sampling {shots} shots exceeds the register-sampling budget "
+            f"of {MAX_SAMPLED_SHOTS}"
+        )
     rng = np.random.default_rng(seed)
     probs = weights / weights.sum()  # absorb <=1e-9 norm drift
     counts = np.zeros(probs.size, dtype=np.int64)
@@ -197,15 +216,15 @@ def sample(state: StateVector, shots: int, seed: int) -> ShotHistogram:
     )
 
 
-def worlds(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
+def worlds(circuit: Circuit) -> tuple[np.ndarray, list[int]]:
     """World weights and qubit bit-planes of an M-then-permutation circuit.
 
     The circuit must open with uncontrolled M gates on distinct qubits and
     then apply only X with 0-2 controls; any other op raises ValueError.
     With k M gates, ``weights[w]`` (float64, 2^k) is the probability of
-    world w, and ``planes[q, w]`` (bool, n_qubits x 2^k) is qubit q's bit in
-    that world's final basis state. X is ``~t``, CN ``t ^= c`` and CCN
-    ``t ^= a & b``, each in place.
+    world w, and ``planes[q]`` is an int whose bit w is qubit q's bit in
+    that world's final basis state, so a plane takes 2^k / 8 bytes. X is
+    ``t ^= full`` (all 2^k bits set), CN ``t ^= c`` and CCN ``t ^= a & b``.
     """
     ops = circuit.ops
     prepared: list[int] = []  # qubit of the i-th M gate
@@ -225,25 +244,43 @@ def worlds(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
                 "only X, CN and CCN may follow it"
             )
 
-    weights = np.empty(1 << k)
+    n_worlds = 1 << k
+    weights = np.empty(n_worlds)
     weights[0] = 1.0
-    planes = np.zeros((circuit.n_qubits, 1 << k), dtype=bool)
+    planes = [0] * circuit.n_qubits
     for i, (op, q) in enumerate(zip(ops, prepared)):
         # M(theta)|0> = sin(theta)|0> + cos(theta)|1>: double the amplitudes
         size = 1 << i
         np.multiply(weights[:size], math.cos(op.gate.theta), out=weights[size : 2 * size])
         weights[:size] *= math.sin(op.gate.theta)
-        planes[q].reshape(-1, 2, size)[:, 1, :] = True
+        # bit i of w is 1 in worlds [size, 2 * size) of every 2 * size; double
+        # that period until it spans all worlds
+        plane = ((1 << size) - 1) << size
+        period = 2 * size
+        while period < n_worlds:
+            plane |= plane << period
+            period *= 2
+        planes[q] = plane
     weights *= weights  # amplitudes are real: squaring gives probabilities
-    both = np.empty(1 << k, dtype=bool)  # a & b of the current CCN
+    full = (1 << n_worlds) - 1
     for op in ops[k:]:
-        t = planes[op.target]
         if not op.controls:
-            np.logical_not(t, out=t)
+            planes[op.target] ^= full
         elif len(op.controls) == 1:
-            t ^= planes[op.controls[0]]
+            planes[op.target] ^= planes[op.controls[0]]
         else:
             a, b = op.controls
-            np.logical_and(planes[a], planes[b], out=both)
-            t ^= both
+            planes[op.target] ^= planes[a] & planes[b]
     return weights, planes
+
+
+def plane_weight(weights: np.ndarray, plane: int) -> float:
+    """Total weight of the worlds where ``plane`` reads 1.
+
+    The plane is unpacked to one byte per world only for this sum, which
+    adds in the same order as ``weights.sum(where=mask)`` over a bool mask.
+    """
+    n_worlds = weights.size
+    packed = np.frombuffer(plane.to_bytes((n_worlds + 7) // 8, "little"), dtype=np.uint8)
+    mask = np.unpackbits(packed, count=n_worlds, bitorder="little").view(bool)
+    return float(weights.sum(where=mask))

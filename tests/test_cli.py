@@ -241,6 +241,63 @@ def test_run_huge_shot_count_exits_0(demo_file, capsys):
     assert "shots=100000000000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("shots", [10**8 + 1, 2**63 - 1])
+def test_gatedemo_past_the_sampling_budget_exits_2(shots, tmp_path, capsys):
+    out = tmp_path / "and.csv"
+    assert main(["gatedemo", "and", "--shots", str(shots), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: sampling {shots} shots exceeds the "
+                            "register-sampling budget of 100000000\n")
+    assert captured.out == "" and not out.exists()
+
+
+def _fresh_interpreter(script, *args):
+    """stdout of ``script`` run by a new interpreter with ``args`` as argv[1:]."""
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_shot_commands_leave_numpy_random_unloaded(demo_file, tmp_path):
+    script = """
+import sys
+import numpy
+if "numpy.random" in sys.modules:
+    print("preloaded")
+    raise SystemExit
+from qrbs.cli import main
+demo, out = sys.argv[1:]
+codes = [main(["run", demo, "--mode", "shots", "--seed", "7"]),
+         main(["tables", "7", "--out", out, "--seed", "7"]),
+         main(["table8", "--out", out, "--seed", "7"])]
+print(codes, "numpy.random" in sys.modules)
+"""
+    result = _fresh_interpreter(script, demo_file, str(tmp_path / "t.csv"))
+    if result == "preloaded\n":
+        pytest.skip("importing numpy alone loads numpy.random")
+    assert result.splitlines()[-1] == "[0, 0, 0] False"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, its unit on Linux")
+def test_run_on_24_base_facts_peaks_below_300_mib(tmp_path):
+    # 24 facts, 24 qubits: 2^24 worlds, 128 MiB of float64 weights and a
+    # 2 MiB plane per qubit; one byte per world would make the planes 384 MiB
+    path = tmp_path / "facts24.qrbs"
+    path.write_text("\n".join(f"fact F{i} disbelief {4 * i}" for i in range(24))
+                    + "\ngoal F23\n", encoding="utf-8")
+    script = """
+import resource, sys
+from qrbs.cli import main
+code = main(["run", sys.argv[1], "--format", "jsonl"])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+    lines = _fresh_interpreter(script, str(path)).splitlines()
+    code, max_rss_kib = lines[-1].split()
+    assert code == "0"
+    assert json.loads(lines[0])["p_true"] == pytest.approx(oracle(parse(
+        "fact F23 disbelief 92\ngoal F23\n")).p_true, abs=1e-12)
+    assert int(max_rss_kib) < 300 * 1024
+
+
 def _fill(template, demo_file, out):
     """``template`` with DEMO replaced by the demo program and OUT by ``out``."""
     return [demo_file if a == "DEMO" else str(out) if a == "OUT" else a for a in template]
@@ -321,7 +378,7 @@ def test_run_flat_3000_term_rule_exits_2(tmp_path, capsys):
     path.write_text(_flat_and_chain(3000), encoding="utf-8")
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: program needs 3000 qubits; the dense simulator supports 24\n"
+    assert err == "error: program needs 3000 qubits; compiled programs may use at most 24\n"
 
 
 def test_run_23_qubit_chain_prints_the_oracle_value(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import math
+import random
+import sys
+from collections import Counter
 
-import numpy as np
 import pytest
 
 from helpers import random_ruleset
@@ -155,10 +157,59 @@ def test_exact_and_shots_share_one_simulation(monkeypatch):
 
 
 def test_shot_count_is_a_seeded_binomial_draw():
-    cp = compile_ruleset(demo_ruleset((20, 60, 0, 0, 20)))
-    for seed in range(5):
-        ones = np.random.default_rng(seed).binomial(8192, cp.p_goal)
-        assert infer_shots(cp, 8192, seed).p_true == ones / 8192
+    # goal probabilities strictly inside (0, 1): a sampler that always
+    # returns 0 or ``shots`` fails here
+    for deltas in [(50,) * 5, (60, 100, 20, 0, 0), (20, 60, 40, 30, 20)]:
+        cp = compile_ruleset(demo_ruleset(deltas))
+        assert 0.0 < cp.p_goal < 1.0
+        counts = set()
+        for seed in range(5):
+            ones = inference._binomialvariate(random.Random(seed), 8192, cp.p_goal)
+            assert infer_shots(cp, 8192, seed).p_true == ones / 8192
+            counts.add(ones)
+        assert len(counts) > 1
+
+
+def _chi_square_critical(df: int, z: float = 3.09) -> float:
+    """Upper 0.1 % point of chi-square with ``df`` degrees of freedom, by
+    the Wilson-Hilferty cube approximation (z = 3.09 is the normal 0.999
+    quantile)."""
+    return df * (1.0 - 2.0 / (9 * df) + z * math.sqrt(2.0 / (9 * df))) ** 3
+
+
+@pytest.mark.parametrize("n,p", [(20, 0.3), (60, 0.4), (25, 0.85), (60, 0.7)],
+                         ids=["geometric", "btrs", "above-half-geometric", "above-half-btrs"])
+def test_binomial_draws_over_seeds_follow_the_pmf(n, p):
+    # n * min(p, 1 - p) is 6, 24, 3.75 and 18: both branches, with and
+    # without the p > 0.5 reflection
+    draws = 4000
+    observed = Counter(inference._binomialvariate(random.Random(seed), n, p)
+                       for seed in range(draws))
+    assert all(0 <= k <= n for k in observed)
+    # cells of adjacent counts, each expecting at least 5 draws
+    cells, expected, seen = [], 0.0, 0
+    for k in range(n + 1):
+        expected += draws * math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+        seen += observed[k]
+        if expected >= 5.0:
+            cells.append((seen, expected))
+            expected, seen = 0.0, 0
+    last_seen, last_expected = cells.pop()
+    cells.append((last_seen + seen, last_expected + expected))
+    chi2 = sum((o - e) ** 2 / e for o, e in cells)
+    assert chi2 <= _chi_square_critical(len(cells) - 1)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 12),
+                    reason="Random.binomialvariate is new in Python 3.12")
+def test_binomial_port_equals_the_standard_library():
+    for n in (1, 2, 9, 100, 8192, 10**6, 10**11, statevec.MAX_SHOTS):
+        for p in (0.0, 1e-19, 1e-6, 0.01, 0.3, 0.46875, 0.5, 0.7, 0.999, 1.0 - 1e-12, 1.0):
+            for seed in range(40):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                expected = theirs.binomialvariate(n, p)
+                assert inference._binomialvariate(ours, n, p) == expected, (n, p, seed)
+                assert ours.random() == theirs.random()  # same draws consumed
 
 
 def test_shot_inference_accepts_every_int64_count():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import random_ruleset
-from qrbs.compiler import compile_ruleset
+from qrbs import statevec
+from qrbs.compiler import BudgetError, compile_ruleset
 from qrbs.gates import H, M, S, T, X, Z, matrix_of
 from qrbs.reference import TABLE8, demo_ruleset
 from qrbs.statevec import (
@@ -17,6 +18,7 @@ from qrbs.statevec import (
     apply,
     init_zero,
     marginal_prob_one,
+    plane_weight,
     run,
     sample,
     worlds,
@@ -258,30 +260,66 @@ def test_chunked_sample_equals_one_choice_call():
     assert sample(state, shots, seed=5).counts == expected
 
 
+def test_register_sampling_budget(monkeypatch):
+    # the budget is checked before any draw: past it, nothing is sampled
+    monkeypatch.setattr(statevec, "MAX_SAMPLED_SHOTS", 100)
+    assert sum(sample(init_zero(1), 100, seed=0).counts.values()) == 100
+    with pytest.raises(BudgetError, match="101 shots exceeds"):
+        sample(init_zero(1), 101, seed=0)
+
+
 def test_sample_rejects_shots_past_int64():
     with pytest.raises(ValueError, match="shots"):
         sample(init_zero(1), MAX_SHOTS + 1, seed=0)
+
+
+def _bits(plane, n_worlds):
+    """A plane's bit per world, world 0 first."""
+    return [bool(plane >> w & 1) for w in range(n_worlds)]
 
 
 def test_worlds_of_one_prepared_qubit():
     theta = 0.3
     weights, planes = worlds(Circuit(2, (CircuitOp(M(theta), 1),), measured_qubit=1))
     assert weights == pytest.approx([math.sin(theta) ** 2, math.cos(theta) ** 2])
-    assert planes.tolist() == [[False, False], [False, True]]
+    assert [_bits(plane, 2) for plane in planes] == [[False, False], [False, True]]
 
 
 def test_worlds_without_m_layer_is_one_basis_state():
     ops = (CircuitOp(X, 0), CircuitOp(X, 2, controls=(0,)), CircuitOp(X, 1, controls=(0, 2)))
     weights, planes = worlds(Circuit(3, ops, measured_qubit=1))
     assert weights.tolist() == [1.0]
-    assert planes[:, 0].tolist() == [True, True, True]
+    assert [_bits(plane, 1)[0] for plane in planes] == [True, True, True]
+
+
+def _bool_planes(circuit):
+    """Qubit planes as a bool matrix (n_qubits x 2^k), one byte per bit: the
+    layout ``worlds`` used before it packed a plane into an int."""
+    prepared = [op.target for op in circuit.ops if op.gate.name == "M"]
+    index = np.arange(1 << len(prepared))
+    planes = np.zeros((circuit.n_qubits, index.size), dtype=bool)
+    for i, q in enumerate(prepared):
+        planes[q] = (index >> i) & 1
+    for op in circuit.ops[len(prepared):]:
+        t = planes[op.target]
+        if not op.controls:
+            np.logical_not(t, out=t)
+        elif len(op.controls) == 1:
+            t ^= planes[op.controls[0]]
+        else:
+            t ^= planes[op.controls[0]] & planes[op.controls[1]]
+    return planes
 
 
 def _assert_worlds_match_dense(circuit):
     weights, planes = worlds(circuit)
     state = run(circuit, init_zero(circuit.n_qubits))
+    reference = _bool_planes(circuit)
     for q in range(circuit.n_qubits):
-        assert abs(weights.sum(where=planes[q]) - marginal_prob_one(state, q)) <= 1e-12
+        assert abs(plane_weight(weights, planes[q]) - marginal_prob_one(state, q)) <= 1e-12
+        # the packed plane holds the same bits and sums them in the same order
+        assert _bits(planes[q], weights.size) == reference[q].tolist()
+        assert plane_weight(weights, planes[q]) == weights.sum(where=reference[q])
 
 
 def test_worlds_match_dense_on_random_networks():
