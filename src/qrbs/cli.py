@@ -42,7 +42,8 @@ def _fmt(value: float) -> str:
 
 
 def _load_ruleset(path: str) -> RuleSet:
-    text = Path(path).read_text(encoding="utf-8")
+    # utf-8-sig drops the byte-order mark some editors save first
+    text = Path(path).read_text(encoding="utf-8-sig")
     try:
         return parse(text)
     except DslError as err:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import fabs, floor, lgamma, log, log2, sqrt
 
 from .compiler import BudgetError, CompiledProgram, compile_ruleset
-from .ruledsl import And, Expr, FactRef, Not, RuleSet, topo_order
+from .ruledsl import And, FactRef, Not, Rule, RuleSet, premise_nodes, topo_order
 from .statevec import check_seed, check_shots
 from .uncertainty import fact_amplitudes
 
@@ -132,14 +132,35 @@ def _binomialvariate(rng: random.Random, n: int, p: float) -> int:
             return k
 
 
-def _eval_expr(expr: Expr, values: dict[str, bool]) -> bool:
-    if isinstance(expr, FactRef):
-        return values[expr.name]
-    if isinstance(expr, Not):
-        return not _eval_expr(expr.operand, values)
-    if isinstance(expr, And):
-        return _eval_expr(expr.left, values) and _eval_expr(expr.right, values)
-    return _eval_expr(expr.left, values) or _eval_expr(expr.right, values)
+_AND, _OR, _NOT = range(3)
+
+
+def _postfix(rs: RuleSet, order: list[Rule]) -> tuple[list[tuple], str | int]:
+    """The premises of ``order`` as one postfix program, and the goal's key.
+
+    Each connective is one instruction (op, out, a, b): it sets key ``out``,
+    a new int, from the values at keys ``a`` and ``b`` (``b`` is None for
+    "not"). A base fact's key is its name, and a conclusion's key is that of
+    its premise. Premises are read through premise_nodes, so that one of any
+    depth needs no recursion; reversed, its pre-order puts each node after
+    its operands.
+    """
+    key: dict[str, str | int] = {name: name for name in rs.base_facts}
+    code: list[tuple] = []
+    for rule in order:
+        operands: list[str | int] = []  # keys of the operands not yet used
+        for node in reversed(list(premise_nodes(rule.premise))):
+            if isinstance(node, FactRef):
+                operands.append(key[node.name])
+                continue
+            if isinstance(node, Not):
+                code.append((_NOT, len(code), operands.pop(), None))
+            else:
+                op = _AND if isinstance(node, And) else _OR
+                code.append((op, len(code), operands.pop(), operands.pop()))
+            operands.append(code[-1][1])
+        key[rule.conclusion] = operands.pop()
+    return code, key[rs.goal]
 
 
 def oracle(rs: RuleSet) -> OracleResult:
@@ -155,6 +176,7 @@ def oracle(rs: RuleSet) -> OracleResult:
         name: fact_amplitudes(delta).p_true
         for name, delta in rs.base_facts.items()
     }
+    code, goal = _postfix(rs, order)
 
     total = 0.0
     p_goal = 0.0
@@ -163,10 +185,15 @@ def oracle(rs: RuleSet) -> OracleResult:
         weight = 1.0
         for name in names:
             weight *= p_fact[name] if values[name] else 1.0 - p_fact[name]
-        for rule in order:
-            values[rule.conclusion] = _eval_expr(rule.premise, values)
+        for op, out, a, b in code:
+            if op == _AND:
+                values[out] = values[a] and values[b]
+            elif op == _OR:
+                values[out] = values[a] or values[b]
+            else:
+                values[out] = not values[a]
         total += weight
-        if values[rs.goal]:
+        if values[goal]:
             p_goal += weight
     assert abs(total - 1.0) <= 1e-12, "assignment weights must sum to 1"
     return OracleResult(rs.goal, p_goal, 2 ** len(names))

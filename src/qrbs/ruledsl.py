@@ -31,14 +31,19 @@ concluded twice, a base fact concluded, an undeclared fact, a cycle and an
 unreachable goal. ``parse`` reports the first of those problems at the
 source position of the token it concerns, and otherwise keeps the firing
 order its check found on the RuleSet, for ``topo_order``.
+
+The lexer keeps token texts and kinds only. A token's line and column are
+worked out from its index when a DslError is raised, by rescanning the
+source, so a program that parses pays nothing for positions.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 import string
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -50,8 +55,8 @@ KEYWORDS = frozenset(
 # once per such level, so the cap keeps it inside Python's recursion limit.
 # It does not bound an "and"/"or" chain, whose left-deep tree is as deep as
 # the chain is long: premise_nodes and validate walk any depth, the compiler
-# rejects a premise past its qubit budget before it recurses, to_source
-# walks with an explicit stack, and oracle still recurses once per level.
+# rejects a premise past its qubit budget before it recurses, and to_source
+# and the oracle walk with explicit stacks.
 MAX_NESTING = 100
 
 
@@ -145,47 +150,69 @@ def premise_facts(expr: Expr) -> Iterator[str]:
 # Lexer
 
 
-class Token(NamedTuple):
-    kind: str  # keyword name, "ident", "number", ":", "(", ")", "eof"
-    text: str
-    line: int
-    col: int
-
-
-# a token, a newline, a comment, or any other non-blank character alone; a
-# number runs on through any letters, digits and dots glued to it, and a sign
-# right after an e or E, so that "1e400" and "1e-5" are one token each, which
-# parse rejects whole
-_TOKEN = re.compile(
-    r"[A-Za-z][A-Za-z0-9_]*|[0-9][A-Za-z0-9_.]*(?:(?<=[eE])[+-][A-Za-z0-9_.]*)*"
-    r"|#[^\n]*|[^ \t\r]"
-)
+# an identifier, or a number, which runs on through any letters, digits and
+# dots glued to it, and a sign right after an e or E, so that "1e400" and
+# "1e-5" are one token each, which parse rejects whole
+_WORD = r"[A-Za-z][A-Za-z0-9_]*|[0-9][A-Za-z0-9_.]*(?:(?<=[eE])[+-][A-Za-z0-9_.]*)*"
+_COMMENT = re.compile(r"#[^\n]*")
+# what _lex finds once comments are gone: a word, or any other non-blank
+# character alone
+_LEXEME = re.compile(_WORD + r"|[^ \t\r\n]")
+# _LEXEME's tokens in the same order, plus each comment and newline, which
+# _position needs to count lines and columns
+_TOKEN = re.compile(_WORD + "|" + _COMMENT.pattern + r"|[^ \t\r]")
 _NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
+# token kind by text, over every spelling of each keyword, then by first
+# character; "" is unexpected
+_KINDS = {
+    "".join(spelling): word
+    for word in (*KEYWORDS, ":", "(", ")")
+    for spelling in itertools.product(*zip(word, word.upper()))
+}
+_CLASSES = dict.fromkeys(string.ascii_letters, "ident") | dict.fromkeys(
+    string.digits, "number"
+)
 
-def _tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
+
+def _lex(source: str) -> tuple[list[str], list[str]]:
+    """Token texts and kinds, ending with an "eof" token of text "".
+
+    A kind is a keyword, "ident", "number", ":", "(" or ")". Positions are
+    not kept: _position finds one from a token's index when it is needed.
+    """
+    texts = _LEXEME.findall(_COMMENT.sub("", source))
+    kinds = [_KINDS.get(text) or _CLASSES.get(text[0], "") for text in texts]
+    if "" in kinds:
+        index = kinds.index("")
+        raise DslError(
+            f"unexpected character {texts[index]!r}", *_position(source, index)
+        )
+    texts.append("")
+    kinds.append("eof")
+    return texts, kinds
+
+
+def _position(source: str, index: int) -> tuple[int, int]:
+    """1-based (line, column) of token ``index`` of ``_lex(source)``.
+
+    The index one past the last token is the end of input. A comment moves
+    its line's first column past itself, so that the end of input after a
+    trailing comment is placed at its "#"; carriage returns and tabs are
+    blanks of one column.
+    """
     line, line_start = 1, 0  # line_start: offset of the line's first column
     for match in _TOKEN.finditer(source):
-        text = match.group()
-        ch = text[0]
-        col = match.start() - line_start + 1
+        ch = match.group()[0]
         if ch == "\n":
             line, line_start = line + 1, match.end()
         elif ch == "#":
-            line_start += len(text)  # so that an eof after it is at its "#"
-        elif ch in ":()":
-            tokens.append(Token(ch, ch, line, col))
-        elif ch in string.ascii_letters:
-            kind = text.lower()
-            kind = kind if kind in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-        elif ch in string.digits:
-            tokens.append(Token("number", text, line, col))
+            line_start += match.end() - match.start()
+        elif index == 0:
+            return line, match.start() - line_start + 1
         else:
-            raise DslError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
-    return tokens
+            index -= 1
+    return line, len(source) - line_start + 1
 
 
 # ---------------------------------------------------------------------------
@@ -193,72 +220,78 @@ def _tokenize(source: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, source: str):
+        self.source = source
+        self.texts, self.kinds = _lex(source)
+        self.pos = 0  # index of the next token
         self._depth = 0  # "not" and "(" currently open
-        # source position of each _problems anchor seen so far
-        self.anchors: dict[tuple, tuple[int, int]] = {}
-        self.rule_index = 0  # index in RuleSet.rules of the rule being parsed
+        # token index of each ("fact", name) and ("goal",) anchor of _problems
+        self.anchors: dict[tuple, int] = {}
+        # token indices of each rule's name and of its "then"
+        self.rule_spans: list[tuple[int, int]] = []
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, index: int) -> DslError:
+        return DslError(message, *_position(self.source, index))
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def shown(self, index: int) -> str:
+        return self.texts[index] or "end of input"
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            shown = tok.text or "end of input"
-            raise DslError(f"expected {what}, found {shown!r}", tok.line, tok.col)
-        return self.advance()
+    def expect(self, kind: str, what: str) -> str:
+        """The text of the next token, which must be of ``kind``."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise self.error(f"expected {what}, found {self.shown(pos)!r}", pos)
+        self.pos = pos + 1
+        return self.texts[pos]
 
-    def mark(self, anchor: tuple, tok: Token) -> None:
-        """Record where the problems anchored at ``anchor`` are reported."""
-        self.anchors.setdefault(anchor, (tok.line, tok.col))
+    def anchor_index(self, anchor: tuple) -> int:
+        """Token index at which a problem anchored at ``anchor`` is reported."""
+        if anchor[0] in ("fact", "goal"):
+            return self.anchors[anchor]
+        name_at, then_at = self.rule_spans[anchor[1]]
+        if anchor[0] == "rule":
+            return name_at
+        if anchor[0] == "conclusion":
+            return then_at + 1
+        # a leaf: the first use of the fact in the premise
+        return self.texts.index(anchor[2], name_at + 3, then_at)
 
     # expr := term { "or" term }
     def expr(self) -> Expr:
         node = self.term()
-        while self.peek().kind == "or":
-            self.advance()
+        while self.kinds[self.pos] == "or":
+            self.pos += 1
             node = Or(node, self.term())
         return node
 
     # term := factor { "and" factor }
     def term(self) -> Expr:
         node = self.factor()
-        while self.peek().kind == "and":
-            self.advance()
+        while self.kinds[self.pos] == "and":
+            self.pos += 1
             node = And(node, self.factor())
         return node
 
     # factor := "not" factor | "(" expr ")" | IDENT
     def factor(self) -> Expr:
-        tok = self.peek()
-        if tok.kind in ("not", "("):
-            if self._depth >= MAX_NESTING:
-                raise DslError(
-                    f"expression nested deeper than {MAX_NESTING} levels",
-                    tok.line,
-                    tok.col,
-                )
-            self.advance()
-            self._depth += 1
-            if tok.kind == "not":
-                node: Expr = Not(self.factor())
-            else:
-                node = self.expr()
-                self.expect(")", "')'")
-            self._depth -= 1
-            return node
-        ident = self.expect("ident", "a fact name")
-        self.mark(("leaf", self.rule_index, ident.text), ident)
-        return FactRef(ident.text)
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind == "ident":
+            self.pos = pos + 1
+            return FactRef(self.texts[pos])
+        if kind != "not" and kind != "(":
+            raise self.error(f"expected a fact name, found {self.shown(pos)!r}", pos)
+        if self._depth >= MAX_NESTING:
+            raise self.error(f"expression nested deeper than {MAX_NESTING} levels", pos)
+        self.pos = pos + 1
+        self._depth += 1
+        if kind == "not":
+            node: Expr = Not(self.factor())
+        else:
+            node = self.expr()
+            self.expect(")", "')'")
+        self._depth -= 1
+        return node
 
 
 def parse(source: str) -> RuleSet:
@@ -272,71 +305,63 @@ def parse(source: str) -> RuleSet:
     returned RuleSet carries the firing order, so topo_order does not check
     it again.
     """
-    parser = _Parser(_tokenize(source))
+    parser = _Parser(source)
+    kinds = parser.kinds
     base_facts: dict[str, float] = {}
     rules: list[Rule] = []
     goal: str | None = None
 
     while True:
-        tok = parser.peek()
-        if tok.kind == "eof":
+        kind = kinds[parser.pos]
+        if kind == "eof":
             break
-        parser.advance()
-        if tok.kind == "fact":
-            name_tok = parser.expect("ident", "a fact name")
-            if name_tok.text in base_facts:
-                raise DslError(
-                    f"duplicate fact '{name_tok.text}'", name_tok.line, name_tok.col
-                )
+        parser.pos += 1
+        if kind == "fact":
+            name = parser.expect("ident", "a fact name")
+            if name in base_facts:
+                raise parser.error(f"duplicate fact '{name}'", parser.pos - 1)
             delta = 0.0
-            if parser.peek().kind == "disbelief":
-                parser.advance()
-                num_tok = parser.expect("number", "a number")
-                if not _NUMBER.fullmatch(num_tok.text):
-                    raise DslError(
-                        f"'{num_tok.text}' is not a valid disbelief",
-                        num_tok.line,
-                        num_tok.col,
+            if kinds[parser.pos] == "disbelief":
+                parser.pos += 1
+                number = parser.expect("number", "a number")
+                if not _NUMBER.fullmatch(number):
+                    raise parser.error(
+                        f"'{number}' is not a valid disbelief", parser.pos - 1
                     )
-                delta = float(num_tok.text)
-                parser.mark(("fact", name_tok.text), num_tok)
-            base_facts[name_tok.text] = delta
-        elif tok.kind == "rule":
-            parser.rule_index = len(rules)
-            name_tok = parser.expect("ident", "a rule name")
-            parser.mark(("rule", parser.rule_index), name_tok)
+                delta = float(number)
+                parser.anchors[("fact", name)] = parser.pos - 1
+            base_facts[name] = delta
+        elif kind == "rule":
+            name_at = parser.pos
+            name = parser.expect("ident", "a rule name")
             parser.expect(":", "':'")
             parser.expect("if", "'if'")
             premise = parser.expr()
+            then_at = parser.pos
             parser.expect("then", "'then'")
-            concl_tok = parser.expect("ident", "a fact name")
-            parser.mark(("conclusion", parser.rule_index), concl_tok)
-            rules.append(Rule(name_tok.text, premise, concl_tok.text))
-        elif tok.kind == "goal":
-            name_tok = parser.expect("ident", "a fact name")
+            conclusion = parser.expect("ident", "a fact name")
+            parser.rule_spans.append((name_at, then_at))
+            rules.append(Rule(name, premise, conclusion))
+        elif kind == "goal":
+            name = parser.expect("ident", "a fact name")
             if goal is not None:
-                raise DslError(
-                    "multiple goal declarations", name_tok.line, name_tok.col
-                )
-            goal = name_tok.text
-            parser.mark(("goal",), name_tok)
+                raise parser.error("multiple goal declarations", parser.pos - 1)
+            goal = name
+            parser.anchors[("goal",)] = parser.pos - 1
         else:
-            shown = tok.text or "end of input"
-            raise DslError(
-                f"expected 'fact', 'rule' or 'goal', found {shown!r}",
-                tok.line,
-                tok.col,
+            shown = parser.texts[parser.pos - 1]
+            raise parser.error(
+                f"expected 'fact', 'rule' or 'goal', found {shown!r}", parser.pos - 1
             )
 
     if goal is None:
-        eof = parser.peek()
-        raise DslError("missing goal declaration", eof.line, eof.col)
+        raise parser.error("missing goal declaration", parser.pos)
     rs = RuleSet(base_facts, tuple(rules), goal)
     order, cycle = _dependency_order(rs)
     problem = next(_problems(rs, cycle), None)
     if problem is not None:
         message, anchor = problem
-        raise DslError(message, *parser.anchors[anchor])
+        raise parser.error(message, parser.anchor_index(anchor))
     object.__setattr__(rs, "_order", tuple(order))
     return rs
 

@@ -72,6 +72,34 @@ def test_run_malformed_file_exits_1(tmp_path, capsys):
     assert "2:" in err  # line:col diagnostic
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["run"], ["run", "--format", "csv"], ["run", "--format", "jsonl"],
+     ["run", "--mode", "shots", "--seed", "7"], ["validate"]],
+)
+def test_program_saved_with_a_byte_order_mark_runs_as_without(tmp_path, capsys, argv):
+    outputs = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        path = tmp_path / f"{name}.qrbs"
+        path.write_bytes(prefix + DEMO_SRC.encode("utf-8"))
+        assert main(argv[:1] + [str(path)] + argv[1:]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "source,position",
+    [("fact A$\ngoal A", "1:7: unexpected character '$'"),
+     ("fact A\nfact A\ngoal A", "2:6: duplicate fact 'A'"),
+     ("fact A", "1:7: missing goal declaration")],
+)
+def test_error_after_a_byte_order_mark_keeps_its_position(tmp_path, capsys, source, position):
+    path = tmp_path / "bom.qrbs"
+    path.write_bytes(b"\xef\xbb\xbf" + source.encode("utf-8"))
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == f"{path}:{position}\n"
+
+
 def test_run_missing_file_exits_1(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.qrbs")]) == 1
     assert "error:" in capsys.readouterr().err

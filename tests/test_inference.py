@@ -10,7 +10,7 @@ from qrbs import compiler, inference, statevec
 from qrbs.compiler import BudgetError, compile_ruleset
 from qrbs.inference import cross_validate, infer_exact, infer_shots, oracle
 from qrbs.reference import demo_ruleset
-from qrbs.ruledsl import RuleSet, parse
+from qrbs.ruledsl import And, FactRef, Not, Rule, RuleSet, parse
 
 
 def _p_true(delta: float) -> float:
@@ -87,6 +87,27 @@ def test_oracle_single_fact():
     result = oracle(RuleSet({"A": 30.0}, (), "A"))
     assert result.p_true == pytest.approx(_p_true(30.0), abs=1e-12)
     assert result.p_true == pytest.approx(0.794, abs=5e-4)
+
+
+@pytest.mark.parametrize("op", ["and", "or"])
+def test_oracle_walks_a_2000_term_chain_without_recursion(op):
+    chain = f" {op} ".join(["a", "b"] * 1000)
+    rs = parse(
+        f"fact a disbelief 30\nfact b disbelief 60\nrule r: if {chain} then c\ngoal c\n"
+    )
+    p_a, p_b = _p_true(30), _p_true(60)
+    expected = p_a * p_b if op == "and" else 1.0 - (1.0 - p_a) * (1.0 - p_b)
+    assert oracle(rs).p_true == pytest.approx(expected, abs=1e-12)
+
+
+def test_oracle_walks_deep_right_nested_and_not_trees():
+    # built by hand: parse caps "not" and "(" at MAX_NESTING levels
+    premise = FactRef("a")
+    for i in range(3000):
+        premise = Not(premise) if i % 3 == 0 else And(FactRef("b"), premise)
+    rs = RuleSet({"a": 30.0, "b": 60.0}, (Rule("r", premise, "c"),), "c")
+    # 1000 negations cancel out, and every "and" adds b
+    assert oracle(rs).p_true == pytest.approx(_p_true(30) * _p_true(60), abs=1e-12)
 
 
 def test_oracle_enumeration_budget():

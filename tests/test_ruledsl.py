@@ -1,3 +1,7 @@
+import re
+import string
+from typing import NamedTuple
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -406,3 +410,83 @@ def test_parse_returns_a_ruleset_or_raises_dsl_error(text):
         assert isinstance(parse(text), RuleSet)
     except DslError:
         pass
+
+
+# The lexer as it was before positions were worked out only on error: one
+# Token, with its line and column, per token. Kept as the reference that the
+# kinds, texts and positions of ruledsl._lex and ruledsl._position must match.
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"[A-Za-z][A-Za-z0-9_]*|[0-9][A-Za-z0-9_.]*(?:(?<=[eE])[+-][A-Za-z0-9_.]*)*"
+    r"|#[^\n]*|[^ \t\r]"
+)
+
+
+def _reference_tokenize(source: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    line, line_start = 1, 0  # line_start: offset of the line's first column
+    for match in _REFERENCE_TOKEN.finditer(source):
+        text = match.group()
+        ch = text[0]
+        col = match.start() - line_start + 1
+        if ch == "\n":
+            line, line_start = line + 1, match.end()
+        elif ch == "#":
+            line_start += len(text)  # so that an eof after it is at its "#"
+        elif ch in ":()":
+            tokens.append(_Token(ch, ch, line, col))
+        elif ch in string.ascii_letters:
+            kind = text.lower()
+            kind = kind if kind in ruledsl.KEYWORDS else "ident"
+            tokens.append(_Token(kind, text, line, col))
+        elif ch in string.digits:
+            tokens.append(_Token("number", text, line, col))
+        else:
+            raise DslError(f"unexpected character {ch!r}", line, col)
+    tokens.append(_Token("eof", "", line, len(source) - line_start + 1))
+    return tokens
+
+
+# end of input after a trailing comment, CRLF line ends, tabs, and a bad
+# character on line 3 after a comment line
+_PINNED_SOURCES = {
+    "fact A # note": "1:8: missing goal declaration",
+    "fact A\r\ngoal B\r\n": "2:6: goal 'B' is neither a base fact nor concluded",
+    "fact\tA\n\tgoal\tB": "2:7: goal 'B' is neither a base fact nor concluded",
+    "fact A\n# comment\nfact B$\ngoal A": "3:7: unexpected character '$'",
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_DSL_TEXT)
+@example("fact A # note")
+@example("fact A\r\ngoal B\r\n")
+@example("fact\tA\n\tgoal\tB")
+@example("fact A\n# comment\nfact B$\ngoal A")
+@example("FACT a DisBelief 1e-5 # x\r\n\tRULE r: IF not(a) THEN b")
+def test_lexer_and_positions_match_the_reference_lexer(text):
+    try:
+        expected = _reference_tokenize(text)
+    except DslError as err:
+        with pytest.raises(DslError) as excinfo:
+            ruledsl._lex(text)
+        assert str(excinfo.value) == str(err)
+        return
+    texts, kinds = ruledsl._lex(text)
+    assert list(zip(kinds, texts)) == [(tok.kind, tok.text) for tok in expected]
+    # the last index is the end of input
+    positions = [ruledsl._position(text, i) for i in range(len(expected))]
+    assert positions == [(tok.line, tok.col) for tok in expected]
+
+
+@pytest.mark.parametrize("source", list(_PINNED_SOURCES))
+def test_pinned_error_positions(source):
+    with pytest.raises(DslError) as excinfo:
+        parse(source)
+    assert str(excinfo.value) == _PINNED_SOURCES[source]
