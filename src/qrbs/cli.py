@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .compiler import BudgetError, compile_ruleset, export_circuit, rq_gate_demo
-from .inference import infer_exact, infer_shots, oracle
+from .inference import infer_exact, infer_shots, oracle_rows, shots_at
 from .reference import TABLE8, demo_ruleset
 from .ruledsl import DslError, RuleSet, parse
 from .uncertainty import (
@@ -104,16 +104,18 @@ def table6_rows() -> list[list[str]]:
     return rows
 
 
-def _single_fact_ruleset(delta: float) -> RuleSet:
-    return RuleSet({"F": float(delta)}, (), "F")
-
-
 def table7_rows(shots: int, seed: int) -> list[list[str]]:
+    """Table 7: one fact at disbelief 0, 10, ..., 100.
+
+    The single-fact program is compiled once; each row's exact marginal is
+    read from it (``CompiledProgram.goal_marginal``), and its shots are one
+    seeded draw on that marginal, as ``infer_shots`` makes them.
+    """
+    cp = compile_ruleset(RuleSet({"F": 0.0}, (), "F"))
     rows = []
     for delta in range(0, 101, 10):
         amps = fact_amplitudes(delta)
-        sampled = infer_shots(compile_ruleset(_single_fact_ruleset(delta)),
-                              shots, seed)
+        sampled = shots_at(cp.goal, cp.goal_marginal([delta]), shots, seed)
         rows.append([
             str(delta),
             _fmt(amps.p_true),
@@ -129,19 +131,28 @@ def table7_rows(shots: int, seed: int) -> list[list[str]]:
 
 def table8_rows(shots: int, seed: int,
                 divergence_threshold: float = 0.02) -> list[list[str]]:
+    """Table 8: the demonstration network at each of its 28 disbelief rows.
+
+    The network's structure is fixed, so it is compiled once and enumerated
+    once. The oracle column comes from one ``oracle_rows`` call, the exact
+    column from the compiled program's ``goal_marginal`` of each row, and
+    the shots column from one seeded draw on each row's exact value, as
+    ``infer_shots`` makes it. Every value equals what a per-row oracle,
+    compile, ``infer_exact`` and ``infer_shots`` would give.
+    """
+    rs = demo_ruleset()
+    cp = compile_ruleset(rs)
+    truths = oracle_rows(rs, [deltas for deltas, _ in TABLE8])
     rows = []
-    for deltas, printed in TABLE8:
-        rs = demo_ruleset(deltas)
-        truth = oracle(rs)
-        cp = compile_ruleset(rs)
-        exact = infer_exact(cp)
-        sampled = infer_shots(cp, shots, seed)
+    for (deltas, printed), truth in zip(TABLE8, truths):
+        exact = cp.goal_marginal(deltas)
+        sampled = shots_at(cp.goal, exact, shots, seed)
         deviation = abs(truth.p_true - printed)
         flag = "MATCH" if deviation <= divergence_threshold else "DIVERGES"
         rows.append([
             *[str(d) for d in deltas],
             _fmt(truth.p_true),
-            _fmt(exact.p_true),
+            _fmt(exact),
             _fmt(sampled.p_true),
             _fmt(printed),
             _fmt(deviation),

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .gates import M, X
 from .ruledsl import And, Expr, FactRef, Not, RuleSet, premise_nodes, topo_order
@@ -35,6 +35,7 @@ from .statevec import (
     CircuitOp,
     _draw_counts,
     plane_weight,
+    world_weights,
     worlds,
 )
 from .uncertainty import delta_to_alpha
@@ -54,6 +55,11 @@ class QubitPlan:
     n_qubits: int
 
 
+def fact_theta(delta: float) -> float:
+    """Angle of the M gate that prepares a base fact at disbelief ``delta``."""
+    return delta_to_alpha(delta) / 2.0
+
+
 @dataclass(frozen=True)
 class CompiledProgram:
     circuit: Circuit
@@ -63,15 +69,42 @@ class CompiledProgram:
     true_bit: int = TRUE_BIT
 
     @cached_property
+    def _simulation(self) -> tuple[float, int]:
+        """``p_goal`` and the goal's plane, from one ``statevec.worlds`` run.
+
+        This is the program's one simulation, over the worlds of its base
+        facts; it runs on first use only and keeps no world weights.
+        """
+        weights, planes = worlds(self.circuit)
+        goal_plane = planes[self.goal_qubit]
+        return plane_weight(weights, goal_plane), goal_plane
+
+    @property
     def p_goal(self) -> float:
         """Exact probability of reading 1 on the goal qubit.
 
-        This is the program's one simulation, over the worlds of its base
-        facts (``statevec.worlds``): it runs on first access only, and sums
-        the weights of the worlds whose goal plane reads 1.
+        The one-row case of ``goal_marginal``: the weight of the worlds
+        whose goal plane reads 1, at the disbeliefs the program was
+        compiled with, which are the M layer's angles.
         """
-        weights, planes = worlds(self.circuit)
-        return plane_weight(weights, planes[self.goal_qubit])
+        return self._simulation[0]
+
+    def goal_marginal(self, deltas: Sequence[float]) -> float:
+        """Exact goal probability with the base facts at disbeliefs ``deltas``.
+
+        ``deltas`` holds one disbelief per base fact, in declaration order.
+        The rules fix the goal's plane, so it is simulated once and reused;
+        only the world weights are built for ``deltas``, from the angles
+        ``fact_theta`` gives the M gates. For the compiled disbeliefs this
+        equals ``p_goal`` bit for bit.
+        """
+        n_facts = len(self.plan.fact_qubits)
+        if len(deltas) != n_facts:
+            raise ValueError(
+                f"expected {n_facts} disbeliefs, one per base fact, got {len(deltas)}"
+            )
+        _, goal_plane = self._simulation
+        return plane_weight(world_weights([fact_theta(d) for d in deltas]), goal_plane)
 
 
 def _block_ops(block: str, inputs: tuple[int, ...], anc: int) -> list[CircuitOp]:
@@ -120,7 +153,7 @@ def compile_ruleset(rs: RuleSet) -> CompiledProgram:
     next_qubit = 0
     for name, delta in rs.base_facts.items():
         fact_qubits[name] = next_qubit
-        ops.append(CircuitOp(M(delta_to_alpha(delta) / 2.0), next_qubit))
+        ops.append(CircuitOp(M(fact_theta(delta)), next_qubit))
         next_qubit += 1
 
     conclusion_qubits: dict[str, int] = {}
@@ -205,10 +238,7 @@ def rq_gate_demo(
     """
     if block not in ("and", "or"):
         raise ValueError(f"demo supports 'and' and 'or', not {block!r}")
-    ops = [
-        CircuitOp(M(delta_to_alpha(float(d)) / 2.0), q)
-        for q, d in enumerate(deltas)
-    ]
+    ops = [CircuitOp(M(fact_theta(d)), q) for q, d in enumerate(deltas)]
     ops += _block_ops(block, (0, 1), 2)
     circuit = Circuit(3, tuple(ops), measured_qubit=2)
     weights, planes = worlds(circuit)

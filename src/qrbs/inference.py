@@ -3,16 +3,24 @@
 The enumeration oracle is the ground truth of this package: it assigns each
 base fact independently (weight sin^2 theta for true, cos^2 theta for
 false), evaluates the boolean network classically, and sums the weights of
-goal-true assignments. Because compiled circuits are basis permutations
-after the preparation layer, the exact quantum marginal must agree with
-the oracle to floating-point accuracy; cross_validate asserts exactly that.
+goal-true assignments. The goal's truth in each world depends on the rules
+alone, so ``oracle_rows`` enumerates the worlds once and weights them for
+any number of disbelief rows. Because compiled circuits are basis
+permutations after the preparation layer, the exact quantum marginal must
+agree with the oracle to floating-point accuracy; cross_validate asserts
+exactly that.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, product
 from math import fabs, floor, lgamma, log, log2, sqrt
+from operator import add
+from typing import Sequence
 
 from .compiler import BudgetError, CompiledProgram, compile_ruleset
 from .ruledsl import And, FactRef, Not, Rule, RuleSet, premise_nodes, topo_order
@@ -61,18 +69,25 @@ def infer_shots(cp: CompiledProgram, shots: int, seed: int) -> InferenceResult:
 
     Each shot measures the circuit's single measured qubit, the goal, so the
     count of ones is one Binomial(shots, p) draw on the exact goal marginal
-    ``cp.p_goal``. It is drawn from ``random.Random(seed)``, the standard
-    library's Mersenne Twister (MT19937), by ``_binomialvariate``: Devroye's
-    geometric method when shots * p < 10, Hörmann's BTRS otherwise. Time
-    and memory are O(1) in the shot count, and no numpy generator is built.
+    ``cp.p_goal`` (``shots_at``).
+    """
+    return shots_at(cp.goal, cp.p_goal, shots, seed)
+
+
+def shots_at(goal: str, p: float, shots: int, seed: int) -> InferenceResult:
+    """``shots`` seeded measurements of a goal whose exact marginal is ``p``.
+
+    The count of ones is one Binomial(shots, p) draw from
+    ``random.Random(seed)``, the standard library's Mersenne Twister
+    (MT19937), by ``_binomialvariate``: Devroye's geometric method when
+    shots * p < 10, Hörmann's BTRS otherwise. Time and memory are O(1) in
+    the shot count, and no numpy generator is built.
     """
     check_shots(shots)
     check_seed(seed)
     # min() absorbs norm drift that could put p a few ulps above 1
-    ones = _binomialvariate(random.Random(seed), shots, min(cp.p_goal, 1.0))
-    return InferenceResult(
-        cp.goal, ones / shots, (shots - ones) / shots, "shots", shots, seed
-    )
+    ones = _binomialvariate(random.Random(seed), shots, min(p, 1.0))
+    return InferenceResult(goal, ones / shots, (shots - ones) / shots, "shots", shots, seed)
 
 
 def _binomialvariate(rng: random.Random, n: int, p: float) -> int:
@@ -164,7 +179,26 @@ def _postfix(rs: RuleSet, order: list[Rule]) -> tuple[list[tuple], str | int]:
 
 
 def oracle(rs: RuleSet) -> OracleResult:
-    """Classical ground truth by exhaustive enumeration of base-fact worlds."""
+    """Classical ground truth by exhaustive enumeration of base-fact worlds.
+
+    The one-row case of ``oracle_rows``, at the RuleSet's own disbeliefs.
+    """
+    return oracle_rows(rs, [list(rs.base_facts.values())])[0]
+
+
+def oracle_rows(rs: RuleSet, rows: Sequence[Sequence[float]]) -> list[OracleResult]:
+    """``oracle`` of ``rs`` with its base facts at each row of disbeliefs.
+
+    A row holds one disbelief per base fact, in declaration order. The
+    worlds are enumerated once, since the goal's truth in a world depends
+    on the rules alone; each row then weights them. A world's weight is the
+    product, in declaration order, of sin^2 theta for each true fact and
+    cos^2 theta for each false one, built as a table of prefix products
+    over the facts, so each row's result equals a separate ``oracle`` call
+    on a RuleSet with that row's disbeliefs, bit for bit. Weights are summed
+    in world order. Nothing here touches the compiler or the circuit: the
+    oracle stays an independent check of them.
+    """
     order = topo_order(rs)
     names = list(rs.base_facts)
     if len(names) > MAX_ORACLE_FACTS:
@@ -172,19 +206,22 @@ def oracle(rs: RuleSet) -> OracleResult:
             f"enumeration over {len(names)} base facts exceeds "
             f"{MAX_ORACLE_FACTS}"
         )
-    p_fact = {
-        name: fact_amplitudes(delta).p_true
-        for name, delta in rs.base_facts.items()
-    }
+    factors = []  # per row: (P(false), P(true)) of each fact
+    for row in rows:
+        if len(row) != len(names):
+            raise ValueError(
+                f"expected {len(names)} disbeliefs, one per base fact, got {len(row)}"
+            )
+        p_fact = [fact_amplitudes(delta).p_true for delta in row]
+        factors.append([(1.0 - p, p) for p in p_fact])
     code, goal = _postfix(rs, order)
 
-    total = 0.0
-    p_goal = 0.0
-    for mask in range(2 ** len(names)):
-        values = {name: bool((mask >> i) & 1) for i, name in enumerate(names)}
-        weight = 1.0
-        for name in names:
-            weight *= p_fact[name] if values[name] else 1.0 - p_fact[name]
+    goal_true = bytearray()  # byte w is 1 where the goal holds in world w
+    # product() turns its last place fastest, so with the names last first
+    # fact i is bit i of the world index, and worlds come in index order
+    last_first = names[::-1]
+    for bits in product((False, True), repeat=len(names)):
+        values = dict(zip(last_first, bits))
         for op, out, a, b in code:
             if op == _AND:
                 values[out] = values[a] and values[b]
@@ -192,11 +229,25 @@ def oracle(rs: RuleSet) -> OracleResult:
                 values[out] = values[a] or values[b]
             else:
                 values[out] = not values[a]
-        total += weight
-        if values[goal]:
-            p_goal += weight
-    assert abs(total - 1.0) <= 1e-12, "assignment weights must sum to 1"
-    return OracleResult(rs.goal, p_goal, 2 ** len(names))
+        goal_true.append(values[goal])
+
+    results = []
+    for row_factors in factors:
+        # fact i is bit i of the world index: each fact doubles the table,
+        # its false half first. An array of doubles takes 8 bytes a world,
+        # a list of floats 32; x.__mul__(w) is x * w, the same double as w * x
+        weights = array("d", [1.0])
+        for p_false, p_true in row_factors:
+            doubled = array("d", map(p_false.__mul__, weights))
+            doubled.extend(map(p_true.__mul__, weights))
+            weights = doubled
+        # a left fold, as the per-world loop adds: sum() compensates its
+        # rounding from Python 3.12 on
+        total = reduce(add, weights, 0.0)
+        assert abs(total - 1.0) <= 1e-12, "assignment weights must sum to 1"
+        p_goal = reduce(add, compress(weights, goal_true), 0.0)
+        results.append(OracleResult(rs.goal, p_goal, len(weights)))
+    return results
 
 
 def cross_validate(rs: RuleSet, tolerance: float = 1e-9) -> CrossValidation:

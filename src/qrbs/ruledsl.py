@@ -229,6 +229,8 @@ class _Parser:
         self.anchors: dict[tuple, int] = {}
         # token indices of each rule's name and of its "then"
         self.rule_spans: list[tuple[int, int]] = []
+        # the fact names of the premise being parsed, left to right
+        self.leaves: list[str] = []
 
     def error(self, message: str, index: int) -> DslError:
         return DslError(message, *_position(self.source, index))
@@ -278,6 +280,7 @@ class _Parser:
         kind = self.kinds[pos]
         if kind == "ident":
             self.pos = pos + 1
+            self.leaves.append(self.texts[pos])
             return FactRef(self.texts[pos])
         if kind != "not" and kind != "(":
             raise self.error(f"expected a fact name, found {self.shown(pos)!r}", pos)
@@ -309,6 +312,7 @@ def parse(source: str) -> RuleSet:
     kinds = parser.kinds
     base_facts: dict[str, float] = {}
     rules: list[Rule] = []
+    rule_facts: list[list[str]] = []  # premise_facts of each rule, as parsed
     goal: str | None = None
 
     while True:
@@ -336,12 +340,14 @@ def parse(source: str) -> RuleSet:
             name = parser.expect("ident", "a rule name")
             parser.expect(":", "':'")
             parser.expect("if", "'if'")
+            parser.leaves = []
             premise = parser.expr()
             then_at = parser.pos
             parser.expect("then", "'then'")
             conclusion = parser.expect("ident", "a fact name")
             parser.rule_spans.append((name_at, then_at))
             rules.append(Rule(name, premise, conclusion))
+            rule_facts.append(parser.leaves)
         elif kind == "goal":
             name = parser.expect("ident", "a fact name")
             if goal is not None:
@@ -357,8 +363,8 @@ def parse(source: str) -> RuleSet:
     if goal is None:
         raise parser.error("missing goal declaration", parser.pos)
     rs = RuleSet(base_facts, tuple(rules), goal)
-    order, cycle = _dependency_order(rs)
-    problem = next(_problems(rs, cycle), None)
+    order, cycle = _dependency_order(rs, rule_facts)
+    problem = next(_problems(rs, cycle, rule_facts), None)
     if problem is not None:
         message, anchor = problem
         raise parser.error(message, parser.anchor_index(anchor))
@@ -370,42 +376,56 @@ def parse(source: str) -> RuleSet:
 # Validation and ordering
 
 
-def _dependency_order(rs: RuleSet) -> tuple[list[Rule], list[str] | None]:
+def _rule_facts(rs: RuleSet) -> list[list[str]]:
+    """``premise_facts`` of each rule of ``rs``, in rule order."""
+    return [list(premise_facts(rule.premise)) for rule in rs.rules]
+
+
+def _dependency_order(
+    rs: RuleSet, rule_facts: list[list[str]] | None = None
+) -> tuple[list[Rule], list[str] | None]:
     """Rules in depth-first post-order, and the first cycle as a closed path.
 
-    A rule is placed when the search of its conclusion finishes, after the
-    rules its premise depends on, so without a cycle the order is
-    topological (Tarjan 1972). Explicit stacks let a chain of any length fit.
+    ``rule_facts`` is ``_rule_facts(rs)``, which parse collects while it
+    reads the premises; without it the premises are walked here. A rule is
+    placed when the search of its conclusion finishes, after the rules its
+    premise depends on, so without a cycle the order is topological (Tarjan
+    1972). Explicit stacks let a chain of any length fit.
     """
-    defining = {rule.conclusion: rule for rule in rs.rules}
+    if rule_facts is None:
+        rule_facts = _rule_facts(rs)
+    # the index of the last rule concluding each fact
+    defining = {rule.conclusion: i for i, rule in enumerate(rs.rules)}
     state: dict[str, int] = {}  # 0 on the current path, 1 done
     order: list[Rule] = []
     for root in defining:
         if root in state:
             continue
         state[root] = 0
-        path, deps = [root], [premise_facts(defining[root].premise)]
+        path, deps = [root], [iter(rule_facts[defining[root]])]
         while path:
             dep = next(deps[-1], None)
             if dep is None:
                 done = path.pop()
                 state[done] = 1
-                order.append(defining[done])
+                order.append(rs.rules[defining[done]])
                 deps.pop()
             elif dep in defining and dep not in state:
                 state[dep] = 0
                 path.append(dep)
-                deps.append(premise_facts(defining[dep].premise))
+                deps.append(iter(rule_facts[defining[dep]]))
             elif state.get(dep) == 0:
                 return order, path[path.index(dep) :] + [dep]
     return order, None
 
 
-def _problems(rs: RuleSet, cycle: list[str] | None) -> Iterator[tuple[str, tuple]]:
+def _problems(
+    rs: RuleSet, cycle: list[str] | None, rule_facts: list[list[str]] | None = None
+) -> Iterator[tuple[str, tuple]]:
     """Every semantic problem of a RuleSet, as (message, anchor) pairs.
 
     ``cycle`` is _dependency_order's second result, which the caller keeps
-    together with the order.
+    together with the order, and ``rule_facts`` is as for _dependency_order.
 
     The anchor names what the problem concerns, for parse to place it in
     the source: ("fact", name) a base fact's disbelief, ("rule", i) the
@@ -435,8 +455,10 @@ def _problems(rs: RuleSet, cycle: list[str] | None) -> Iterator[tuple[str, tuple
                 f"concluded by {rule.name}",
                 ("conclusion", i),
             )
-    for i, rule in enumerate(rs.rules):
-        for name in premise_facts(rule.premise):
+    if rule_facts is None:
+        rule_facts = _rule_facts(rs)
+    for i, (rule, facts) in enumerate(zip(rs.rules, rule_facts)):
+        for name in facts:
             if name not in rs.base_facts and name not in concluded:
                 yield (
                     f"undeclared fact '{name}' in premise of {rule.name}",

@@ -7,9 +7,13 @@ Two simulators share one circuit type.
   state per world of its k qubits, and every later gate permutes basis
   states (Bennett 1973), so the state is a weight per world plus, for each
   qubit, a plane of 2^k bits held in one Python int, one bit per world.
-  ``plane_weight`` sums the weights of the worlds where a plane reads 1.
-  Compiled programs, ``truth_table_check`` and ``rq_gate_demo`` use them;
-  cost and memory grow with 2^k, not 2^n.
+  It is two steps: ``world_weights`` turns the k M angles into the 2^k
+  weights, and ``circuit_planes`` turns the circuit into the planes. The
+  planes do not depend on the M angles, so a program compiled once can be
+  weighted for many disbelief rows. ``plane_weight`` sums the
+  weights of the worlds where a plane reads 1. Compiled programs,
+  ``truth_table_check`` and ``rq_gate_demo`` use them; cost and memory grow
+  with 2^k, not 2^n.
 * ``run`` is the dense 2^n state vector for any circuit, H/S/T/Z
   included, with ``init_zero``, ``apply``, ``marginal_prob_one`` and
   ``sample`` around it.
@@ -39,8 +43,10 @@ Circuits are capped at 24 qubits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -216,15 +222,36 @@ def sample(state: StateVector, shots: int, seed: int) -> ShotHistogram:
     )
 
 
-def worlds(circuit: Circuit) -> tuple[np.ndarray, list[int]]:
-    """World weights and qubit bit-planes of an M-then-permutation circuit.
+def world_weights(thetas: Sequence[float]) -> np.ndarray:
+    """Probability of each world of k qubits prepared by M(thetas[i]) on |0>.
+
+    ``weights[w]`` (float64, 2^k) is the product over i of cos^2(thetas[i])
+    if bit i of w is 1, else sin^2(thetas[i]). This is the M layer's half
+    of ``worlds``: it depends on the angles alone, so one circuit's planes
+    serve any number of angle rows.
+    """
+    n_worlds = 1 << len(thetas)
+    weights = np.empty(n_worlds)
+    weights[0] = 1.0
+    for i, theta in enumerate(thetas):
+        # M(theta)|0> = sin(theta)|0> + cos(theta)|1>: double the amplitudes
+        size = 1 << i
+        np.multiply(weights[:size], math.cos(theta), out=weights[size : 2 * size])
+        weights[:size] *= math.sin(theta)
+    weights *= weights  # amplitudes are real: squaring gives probabilities
+    return weights
+
+
+def circuit_planes(circuit: Circuit) -> list[int]:
+    """Qubit bit-planes of an M-then-permutation circuit.
 
     The circuit must open with uncontrolled M gates on distinct qubits and
     then apply only X with 0-2 controls; any other op raises ValueError.
-    With k M gates, ``weights[w]`` (float64, 2^k) is the probability of
-    world w, and ``planes[q]`` is an int whose bit w is qubit q's bit in
-    that world's final basis state, so a plane takes 2^k / 8 bytes. X is
-    ``t ^= full`` (all 2^k bits set), CN ``t ^= c`` and CCN ``t ^= a & b``.
+    With k M gates, ``planes[q]`` is an int whose bit w is qubit q's bit in
+    world w's final basis state, so a plane takes 2^k / 8 bytes; bit i of w
+    is the value of the i-th M gate's qubit. X is ``t ^= full`` (all 2^k
+    bits set), CN ``t ^= c`` and CCN ``t ^= a & b``. The planes do not
+    depend on the M angles.
     """
     ops = circuit.ops
     prepared: list[int] = []  # qubit of the i-th M gate
@@ -245,23 +272,17 @@ def worlds(circuit: Circuit) -> tuple[np.ndarray, list[int]]:
             )
 
     n_worlds = 1 << k
-    weights = np.empty(n_worlds)
-    weights[0] = 1.0
     planes = [0] * circuit.n_qubits
-    for i, (op, q) in enumerate(zip(ops, prepared)):
-        # M(theta)|0> = sin(theta)|0> + cos(theta)|1>: double the amplitudes
-        size = 1 << i
-        np.multiply(weights[:size], math.cos(op.gate.theta), out=weights[size : 2 * size])
-        weights[:size] *= math.sin(op.gate.theta)
+    for i, q in enumerate(prepared):
         # bit i of w is 1 in worlds [size, 2 * size) of every 2 * size; double
         # that period until it spans all worlds
+        size = 1 << i
         plane = ((1 << size) - 1) << size
         period = 2 * size
         while period < n_worlds:
             plane |= plane << period
             period *= 2
         planes[q] = plane
-    weights *= weights  # amplitudes are real: squaring gives probabilities
     full = (1 << n_worlds) - 1
     for op in ops[k:]:
         if not op.controls:
@@ -271,7 +292,19 @@ def worlds(circuit: Circuit) -> tuple[np.ndarray, list[int]]:
         else:
             a, b = op.controls
             planes[op.target] ^= planes[a] & planes[b]
-    return weights, planes
+    return planes
+
+
+def worlds(circuit: Circuit) -> tuple[np.ndarray, list[int]]:
+    """World weights and qubit bit-planes of an M-then-permutation circuit.
+
+    ``circuit_planes`` gives the planes and checks the circuit's shape;
+    ``world_weights`` of the M layer's angles gives the weights, so
+    ``weights[w]`` is the probability of world w.
+    """
+    planes = circuit_planes(circuit)
+    m_layer = itertools.takewhile(lambda op: op.gate.name == "M", circuit.ops)
+    return world_weights([op.gate.theta for op in m_layer]), planes
 
 
 def plane_weight(weights: np.ndarray, plane: int) -> float:

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from qrbs import cli
 from qrbs.cli import main
-from qrbs.inference import oracle
-from qrbs.reference import demo_ruleset
-from qrbs.ruledsl import parse, to_source, topo_order
+from qrbs.compiler import compile_ruleset
+from qrbs.inference import infer_exact, infer_shots, oracle
+from qrbs.reference import TABLE8, demo_ruleset
+from qrbs.ruledsl import RuleSet, parse, to_source, topo_order
 
 DEMO_SRC = to_source(demo_ruleset())
 
@@ -190,6 +191,46 @@ def test_table8_flags_match_golden(tmp_path):
         encoding="utf-8"
     ).splitlines()
     assert flags == golden
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["table8", "--seed", "7"], "table8_seed7.csv"),
+    (["tables", "7", "--seed", "7"], "tables7_seed7.csv"),
+])
+def test_sampled_tables_reproduce_their_golden_files(argv, golden, tmp_path):
+    out = tmp_path / golden
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / golden).read_bytes()
+
+
+def _table8_row_by_row(shots, seed):
+    """Table 8 rows as four separate calls per row would make them."""
+    rows = []
+    for deltas, printed in TABLE8:
+        rs = demo_ruleset(deltas)
+        truth = oracle(rs).p_true
+        cp = compile_ruleset(rs)
+        deviation = abs(truth - printed)
+        rows.append([*map(str, deltas), *(f"{v:.5f}" for v in (
+            truth, infer_exact(cp).p_true, infer_shots(cp, shots, seed).p_true,
+            printed, deviation)), "MATCH" if deviation <= 0.02 else "DIVERGES"])
+    return rows
+
+
+def _table7_row_by_row(shots, seed):
+    """Table 7's shot columns with the fact compiled afresh for each row."""
+    return [[f"{v:.5f}" for v in (result.p_true, result.p_false)]
+            for result in (infer_shots(compile_ruleset(RuleSet({"F": float(d)}, (), "F")),
+                                       shots, seed)
+                           for d in range(0, 101, 10))]
+
+
+@pytest.mark.parametrize("shots", [1, 8192, 10**6])
+def test_tables_from_one_compile_equal_the_row_by_row_reference(shots):
+    for seed in range(21):
+        assert cli.table8_rows(shots, seed) == _table8_row_by_row(shots, seed)
+        assert ([row[6:] for row in cli.table7_rows(shots, seed)]
+                == _table7_row_by_row(shots, seed))
 
 
 def test_compile_command(tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrbs.compiler import (
     BudgetError,
@@ -15,7 +17,8 @@ from qrbs.compiler import (
 from qrbs.inference import infer_exact
 from qrbs.reference import demo_ruleset
 from qrbs.ruledsl import RuleSet, parse
-from qrbs.statevec import Circuit, init_zero, marginal_prob_one, run
+from qrbs.gates import M, X
+from qrbs.statevec import Circuit, CircuitOp, init_zero, marginal_prob_one, run
 from qrbs.uncertainty import delta_to_alpha
 
 
@@ -180,6 +183,31 @@ def test_export_demo_network_counts():
 def test_circuit_text_round_trip_is_byte_identical():
     original = export_circuit(compile_ruleset(demo_ruleset()))
     assert circuit_to_text(circuit_from_text(original)) == original
+
+
+@st.composite
+def _circuits(draw):
+    """M, X, CN and CCN ops on 1-24 qubits; M angles in [0, pi/2] at 6 decimals."""
+    n = draw(st.integers(1, 24))
+    qubit = st.integers(0, n - 1)
+    # the text form writes theta with 6 decimals: n / 10^6 is the float it reads back
+    angle = st.integers(0, int(math.pi / 2 * 10**6)).map(lambda micro: micro / 10**6)
+    widths = {"M": 1, "X": 1, "CN": 2, "CCN": 3}  # qubits each kind touches
+    kinds = [kind for kind, width in widths.items() if width <= n]
+    ops = []
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from(kinds))
+        target, *controls = draw(st.lists(qubit, min_size=widths[kind],
+                                          max_size=widths[kind], unique=True))
+        gate = M(draw(angle)) if kind == "M" else X
+        ops.append(CircuitOp(gate, target, controls=tuple(controls)))
+    return Circuit(n, tuple(ops), measured_qubit=draw(qubit))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_circuits())
+def test_circuit_text_round_trips_random_circuits(circuit):
+    assert circuit_from_text(circuit_to_text(circuit)) == circuit
 
 
 def test_circuit_from_text_accepts_comments_and_blanks():

@@ -8,9 +8,10 @@ import pytest
 from helpers import random_ruleset
 from qrbs import compiler, inference, statevec
 from qrbs.compiler import BudgetError, compile_ruleset
-from qrbs.inference import cross_validate, infer_exact, infer_shots, oracle
-from qrbs.reference import demo_ruleset
-from qrbs.ruledsl import And, FactRef, Not, Rule, RuleSet, parse
+from qrbs.inference import cross_validate, infer_exact, infer_shots, oracle, oracle_rows
+from qrbs.reference import TABLE8, demo_ruleset
+from qrbs.ruledsl import And, FactRef, Not, Rule, RuleSet, parse, topo_order
+from qrbs.uncertainty import fact_amplitudes
 
 
 def _p_true(delta: float) -> float:
@@ -119,6 +120,98 @@ def test_oracle_enumeration_budget():
 def test_oracle_rejects_invalid_ruleset():
     with pytest.raises(ValueError):
         oracle(RuleSet({"A": 0.0}, (), "Q"))
+
+
+def _random_rows(rs, rng, n_rows=6):
+    """Disbelief rows for the base facts of ``rs``: 0, 100 or anything between."""
+    return [[rng.choice([0.0, 100.0, round(rng.uniform(0.0, 100.0), 3)])
+             for _ in rs.base_facts]
+            for _ in range(n_rows)]
+
+
+def _with_deltas(rs, row):
+    """``rs`` with its base facts at the disbeliefs of ``row``, built afresh."""
+    return RuleSet(dict(zip(rs.base_facts, row)), rs.rules, rs.goal)
+
+
+def _eval(expr, values):
+    if isinstance(expr, FactRef):
+        return values[expr.name]
+    if isinstance(expr, Not):
+        return not _eval(expr.operand, values)
+    if isinstance(expr, And):
+        return _eval(expr.left, values) and _eval(expr.right, values)
+    return _eval(expr.left, values) or _eval(expr.right, values)
+
+
+def _per_world_oracle(rs):
+    """P(goal) by the plain per-world loop: each world's weight is a product
+    in declaration order, and the weights are summed in world order."""
+    names = list(rs.base_facts)
+    p = [fact_amplitudes(delta).p_true for delta in rs.base_facts.values()]
+    p_goal = 0.0
+    for mask in range(2 ** len(names)):
+        values = {name: bool(mask >> i & 1) for i, name in enumerate(names)}
+        weight = 1.0
+        for i, name in enumerate(names):
+            weight *= p[i] if values[name] else 1.0 - p[i]
+        for rule in topo_order(rs):
+            values[rule.conclusion] = _eval(rule.premise, values)
+        if values[rs.goal]:
+            p_goal += weight
+    return p_goal
+
+
+def test_oracle_rows_equal_one_oracle_call_per_row():
+    rng = random.Random(11)
+    for seed in range(120):
+        rs = random_ruleset(seed)
+        rows = _random_rows(rs, rng) + [list(rs.base_facts.values())]
+        results = oracle_rows(rs, rows)
+        assert results == [oracle(_with_deltas(rs, row)) for row in rows]
+        assert [r.p_true for r in results] == [
+            _per_world_oracle(_with_deltas(rs, row)) for row in rows
+        ]
+
+
+def test_goal_marginal_equals_p_goal_of_the_rebuilt_program():
+    rng = random.Random(12)
+    for seed in range(120):
+        rs = random_ruleset(seed)
+        cp = compile_ruleset(rs)
+        rows = _random_rows(rs, rng) + [list(rs.base_facts.values())]
+        assert [cp.goal_marginal(row) for row in rows] == [
+            compile_ruleset(_with_deltas(rs, row)).p_goal for row in rows
+        ]
+
+
+def test_rows_must_give_one_disbelief_per_base_fact():
+    rs = demo_ruleset()
+    for row in ([50.0] * 4, [50.0] * 6):
+        with pytest.raises(ValueError, match="expected 5 disbeliefs"):
+            oracle_rows(rs, [row])
+        with pytest.raises(ValueError, match="expected 5 disbeliefs"):
+            compile_ruleset(rs).goal_marginal(row)
+    with pytest.raises(ValueError, match="disbelief must be in"):
+        oracle_rows(rs, [[50.0, 50.0, 50.0, 50.0, 101.0]])
+
+
+def test_oracle_rows_run_without_the_compiler_or_the_simulator(monkeypatch):
+    rs = demo_ruleset()
+    rows = [deltas for deltas, _ in TABLE8]
+    expected = [oracle(_with_deltas(rs, row)) for row in rows]
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the oracle must not use the compiler or the simulator")
+
+    for module in (statevec, compiler, inference):
+        for name in ("worlds", "world_weights", "circuit_planes", "plane_weight",
+                     "compile_ruleset"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unavailable)
+    fresh = demo_ruleset()  # its firing order not yet cached
+    assert oracle_rows(fresh, rows) == expected
+    assert oracle(fresh) == oracle_rows(fresh, [[50.0] * 5])[0]
 
 
 def test_cross_validate_demo_grid():
