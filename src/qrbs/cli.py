@@ -18,8 +18,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -51,14 +53,36 @@ def _load_ruleset(path: str) -> RuleSet:
         raise
 
 
+def _write_out(path: str, text: str) -> None:
+    """Make the file at ``path`` hold exactly ``text``, UTF-8 encoded.
+
+    The file is not opened with O_TRUNC: on ext4, closing a file that was
+    truncated to zero starts its writeback, and the rewrite waits for it.
+    The new bytes overwrite the old ones, and the file is cut to their
+    length only when it was longer, so an --out that cannot be truncated,
+    such as /dev/null or a pipe, still works.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:  # a pipe may take fewer bytes than it is given
+            rest = rest[os.write(fd, rest):]
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _write_csv(path: str, header: list[str], rows: list[list[str]],
                comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        if comment is not None:
-            handle.write(f"# {comment}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    buffer = io.StringIO()
+    if comment is not None:
+        buffer.write(f"# {comment}\n")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_out(path, buffer.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +252,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     rs = _load_ruleset(args.input)
-    text = export_circuit(compile_ruleset(rs))
-    Path(args.out).write_text(text, encoding="utf-8")
+    _write_out(args.out, export_circuit(compile_ruleset(rs)))
     print(f"wrote {args.out}")
     return 0
 

@@ -4,11 +4,11 @@ The enumeration oracle is the ground truth of this package: it assigns each
 base fact independently (weight sin^2 theta for true, cos^2 theta for
 false), evaluates the boolean network classically, and sums the weights of
 goal-true assignments. The goal's truth in each world depends on the rules
-alone, so ``oracle_rows`` enumerates the worlds once and weights them for
-any number of disbelief rows. Because compiled circuits are basis
-permutations after the preparation layer, the exact quantum marginal must
-agree with the oracle to floating-point accuracy; cross_validate asserts
-exactly that.
+alone, so ``oracle_rows`` evaluates each rule once over all worlds, as
+bit-planes with one bit per world, and weights the worlds for any number
+of disbelief rows. Because compiled circuits are basis permutations after
+the preparation layer, the exact quantum marginal must agree with the
+oracle to floating-point accuracy; cross_validate asserts exactly that.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, product
+from itertools import compress
 from math import fabs, floor, lgamma, log, log2, sqrt
 from operator import add
 from typing import Sequence
@@ -148,6 +148,7 @@ def _binomialvariate(rng: random.Random, n: int, p: float) -> int:
 
 
 _AND, _OR, _NOT = range(3)
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _postfix(rs: RuleSet, order: list[Rule]) -> tuple[list[tuple], str | int]:
@@ -191,13 +192,19 @@ def oracle_rows(rs: RuleSet, rows: Sequence[Sequence[float]]) -> list[OracleResu
 
     A row holds one disbelief per base fact, in declaration order. The
     worlds are enumerated once, since the goal's truth in a world depends
-    on the rules alone; each row then weights them. A world's weight is the
-    product, in declaration order, of sin^2 theta for each true fact and
-    cos^2 theta for each false one, built as a table of prefix products
-    over the facts, so each row's result equals a separate ``oracle`` call
-    on a RuleSet with that row's disbeliefs, bit for bit. Weights are summed
-    in world order. Nothing here touches the compiler or the circuit: the
-    oracle stays an independent check of them.
+    on the rules alone; each row then weights them. World w sets fact i
+    when bit i of w is 1. Each base fact is a plane, a Python int of 2^k
+    bits whose bit w is its value in world w, and each connective is one
+    int operation over all worlds at once (and ``&``, or ``|``, not an
+    exclusive or with the all-ones plane), so each rule costs a few big-int
+    operations, not a loop over worlds. A world's weight is the product, in
+    declaration order, of sin^2 theta for each true fact and cos^2 theta
+    for each false one, built as a table of prefix products over the facts,
+    so each row's result equals a separate ``oracle`` call on a RuleSet
+    with that row's disbeliefs, bit for bit. The goal-true weights are
+    summed by a left fold in world order. Nothing here touches the compiler
+    or the circuit: the oracle builds its own planes and weights, and stays
+    an independent check of them.
     """
     order = topo_order(rs)
     names = list(rs.base_facts)
@@ -216,20 +223,36 @@ def oracle_rows(rs: RuleSet, rows: Sequence[Sequence[float]]) -> list[OracleResu
         factors.append([(1.0 - p, p) for p in p_fact])
     code, goal = _postfix(rs, order)
 
-    goal_true = bytearray()  # byte w is 1 where the goal holds in world w
-    # product() turns its last place fastest, so with the names last first
-    # fact i is bit i of the world index, and worlds come in index order
-    last_first = names[::-1]
-    for bits in product((False, True), repeat=len(names)):
-        values = dict(zip(last_first, bits))
-        for op, out, a, b in code:
-            if op == _AND:
-                values[out] = values[a] and values[b]
-            elif op == _OR:
-                values[out] = values[a] or values[b]
-            else:
-                values[out] = not values[a]
-        goal_true.append(values[goal])
+    # bit w of a plane is the value in world w, and fact i is bit i of the
+    # world index: as with the weights below, each fact doubles the worlds,
+    # its false half first, and every earlier plane repeats in the new half
+    planes: list[int] = []
+    n_worlds = 1
+    for _ in names:
+        planes = [plane | plane << n_worlds for plane in planes]
+        planes.append(((1 << n_worlds) - 1) << n_worlds)
+        n_worlds <<= 1
+    full = (1 << n_worlds) - 1
+    values: dict[str | int, int] = dict(zip(names, planes))
+    del planes
+    # a plane is 2^k bits, so each is dropped after its last read: a long
+    # program holds only its live planes, not one per instruction
+    last_read = {key: i for i, (_, _, a, b) in enumerate(code) for key in (a, b)}
+    last_read[goal] = len(code)
+    for i, (op, out, a, b) in enumerate(code):
+        if op == _AND:
+            values[out] = values[a] & values[b]
+        elif op == _OR:
+            values[out] = values[a] | values[b]
+        else:
+            values[out] = full ^ values[a]
+        for key in (a, b):  # b is None after "not", or a again in "x and x"
+            if last_read[key] == i:
+                values.pop(key, None)
+    # byte w is 1 where the goal holds in world w: the plane's binary
+    # digits, most significant first, reversed into world order
+    digits = format(values[goal], f"0{n_worlds}b")[::-1]
+    goal_true = digits.encode().translate(_DIGIT_BYTES)
 
     results = []
     for row_factors in factors:

@@ -261,6 +261,47 @@ def test_compile_invalid_program_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,golden", [
+    (["table8", "--seed", "7"], "table8_seed7.csv"),
+    (["tables", "7", "--seed", "7"], "tables7_seed7.csv"),
+])
+@pytest.mark.parametrize("old_size", [100, 100_000])  # shorter, longer
+def test_existing_out_file_is_left_holding_exactly_the_new_bytes(argv, golden, old_size,
+                                                                  tmp_path):
+    out = tmp_path / golden
+    out.write_bytes(b"x" * old_size)
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / golden).read_bytes()
+
+
+def test_compile_over_a_longer_file_leaves_only_the_circuit(demo_file, tmp_path):
+    fresh, stale = tmp_path / "fresh.circuit", tmp_path / "stale.circuit"
+    stale.write_bytes(b"qubits 99\n" * 10_000)
+    assert main(["compile", demo_file, "--out", str(fresh)]) == 0
+    assert main(["compile", demo_file, "--out", str(stale)]) == 0
+    assert stale.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("command", [["table8"], ["tables", "4"], ["compile", "PROGRAM"]])
+def test_out_directory_exits_1_and_dev_null_exits_0(command, demo_file, tmp_path,
+                                                    capsys):
+    argv = [demo_file if arg == "PROGRAM" else arg for arg in command]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert main([*argv, "--out", "/dev/null"]) == 0
+    assert capsys.readouterr().out.startswith("wrote /dev/null")
+
+
+def test_out_to_a_pipe_writes_the_file_bytes(tmp_path):
+    # /dev/stdout is the pipe that subprocess reads: it cannot be truncated
+    assert main(["tables", "4", "--out", str(tmp_path / "t4.csv")]) == 0
+    result = subprocess.run(
+        [sys.executable, "-m", "qrbs", "tables", "4", "--out", "/dev/stdout"],
+        capture_output=True, check=True)
+    assert result.stdout == (tmp_path / "t4.csv").read_bytes() + b"wrote /dev/stdout\n"
+
+
 def test_gatedemo_and(tmp_path):
     out = tmp_path / "and.csv"
     assert main(["gatedemo", "and", "--out", str(out), "--seed", "7"]) == 0

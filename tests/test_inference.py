@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -212,6 +213,119 @@ def test_oracle_rows_run_without_the_compiler_or_the_simulator(monkeypatch):
     fresh = demo_ruleset()  # its firing order not yet cached
     assert oracle_rows(fresh, rows) == expected
     assert oracle(fresh) == oracle_rows(fresh, [[50.0] * 5])[0]
+
+
+_HAND_WRITTEN_NETWORKS = [
+    # facts and conclusions used again by later rules, "not" on conclusions
+    """fact a disbelief 30
+    fact b disbelief 55
+    fact c disbelief 80
+    rule r1: if a and b then x
+    rule r2: if x or not a then y
+    rule r3: if not x and (y or c) then z
+    rule r4: if not (z or b) or x and c then w
+    goal w""",
+    # the goal is a base fact that rules also read
+    """fact a disbelief 10
+    fact b disbelief 90
+    rule r1: if a or b then x
+    rule r2: if not x then y
+    goal b""",
+    # one fact alone, negated twice through conclusions
+    """fact a disbelief 35
+    rule r1: if not a then x
+    rule r2: if not x then y
+    goal y""",
+    # ten facts, a conclusion read by three rules
+    "\n".join([*(f"fact f{i} disbelief {7 * i + 3}" for i in range(10)),
+               "rule r1: if f0 and f1 or f2 then s",
+               "rule r2: if not s and f3 or f4 and f5 then t",
+               "rule r3: if s or not t and f6 then u",
+               "rule r4: if not u and s or f7 and not (f8 or f9) then v",
+               "rule r5: if v and not s or t and not f0 then g",
+               "goal g"]),
+]
+
+
+def test_oracle_equals_the_per_world_loop_on_networks_up_to_10_facts():
+    rng = random.Random(13)
+    networks = [parse(source) for source in _HAND_WRITTEN_NETWORKS]
+    networks += [random_ruleset(seed, max_facts=10, max_rules=8, max_qubits=40)
+                 for seed in range(80)]
+    assert max(len(rs.base_facts) for rs in networks) == 10
+    for rs in networks:
+        rows = _random_rows(rs, rng, n_rows=3) + [
+            [0.0] * len(rs.base_facts), [100.0] * len(rs.base_facts),
+            [rng.choice([0.0, 100.0]) for _ in rs.base_facts],
+            list(rs.base_facts.values())]
+        assert [r.p_true for r in oracle_rows(rs, rows)] == [
+            _per_world_oracle(_with_deltas(rs, row)) for row in rows
+        ]
+
+
+def _chain_source(n_facts):
+    """C1 = F0 and F1, C2 = C1 or F2, C3 = C2 and F3, ... up to C(n-1)."""
+    lines = [f"fact F{i} disbelief {(37 * i + 11) % 101}" for i in range(n_facts)]
+    previous = "F0"
+    for i in range(1, n_facts):
+        op = "and" if i % 2 else "or"
+        lines.append(f"rule R{i}: if {previous} {op} F{i} then C{i}")
+        previous = f"C{i}"
+    return "\n".join([*lines, f"goal {previous}"])
+
+
+def test_oracle_on_a_20_fact_chain_equals_its_closed_form():
+    rs = parse(_chain_source(20))
+    p = [_p_true(delta) for delta in rs.base_facts.values()]
+    expected = p[0]
+    for i in range(1, 20):
+        expected = expected * p[i] if i % 2 else 1.0 - (1.0 - expected) * (1.0 - p[i])
+    result = oracle(rs)
+    assert result.enumerated_assignments == 2 ** 20
+    assert result.p_true == pytest.approx(expected, abs=1e-12)
+
+
+def test_oracle_on_a_20_fact_shared_network_equals_its_closed_form():
+    # every rule reads the shared facts S and T, and a chain reads each
+    # rule's conclusion: D_j = S and F_j or T and not F_j, G_j = G_(j-1)
+    # and/or D_j. Given S and T the D_j are independent, so P(goal) is a
+    # sum over the four values of (S, T) of a product over j
+    lines = ["fact S disbelief 40", "fact T disbelief 75",
+             *(f"fact F{j} disbelief {(29 * j + 5) % 101}" for j in range(18))]
+    for j in range(18):
+        lines.append(f"rule D{j}: if S and F{j} or T and not F{j} then D{j}")
+    lines.append("rule G0: if D0 then G0")
+    for j in range(1, 18):
+        op = "and" if j % 3 else "or"
+        lines.append(f"rule G{j}: if G{j - 1} {op} D{j} then G{j}")
+    rs = parse("\n".join([*lines, "goal G17"]))
+    assert len(rs.base_facts) == 20
+    p_s, p_t = _p_true(40), _p_true(75)
+    p = [_p_true((29 * j + 5) % 101) for j in range(18)]
+    expected = 0.0
+    for s, t in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        d = [s * p_j + t * (1.0 - p_j) for p_j in p]  # the two terms exclude each other
+        g = d[0]
+        for j in range(1, 18):
+            g = g * d[j] if j % 3 else 1.0 - (1.0 - g) * (1.0 - d[j])
+        expected += (p_s if s else 1.0 - p_s) * (p_t if t else 1.0 - p_t) * g
+    assert oracle(rs).p_true == pytest.approx(expected, abs=1e-12)
+
+
+def test_oracle_holds_only_live_planes_of_a_600_rule_chain():
+    # 1800 instructions over 2^18 worlds: one 32 KiB plane each would
+    # peak near 45 MiB; the weight table and the goal bytes take about 4
+    lines = [f"fact F{i} disbelief {5 * i}" for i in range(18)] + ["rule R0: if F0 then C0"]
+    lines += [f"rule R{i}: if C{i - 1} and not F{i % 18} or F{(i + 1) % 18} then C{i}"
+              for i in range(1, 600)]
+    rs = parse("\n".join([*lines, "goal C599"]))
+    tracemalloc.start()
+    try:
+        oracle(rs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_cross_validate_demo_grid():
