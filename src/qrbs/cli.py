@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from .compiler import BudgetError, compile_ruleset, export_circuit, rq_gate_demo
-from .inference import infer_exact, infer_shots, oracle_rows, shots_at
+from .inference import infer_exact, infer_shots, oracle_rows, shots_rows
 from .reference import TABLE8, demo_ruleset
 from .ruledsl import DslError, RuleSet, parse
 from .uncertainty import (
@@ -131,15 +131,17 @@ def table6_rows() -> list[list[str]]:
 def table7_rows(shots: int, seed: int) -> list[list[str]]:
     """Table 7: one fact at disbelief 0, 10, ..., 100.
 
-    The single-fact program is compiled once; each row's exact marginal is
-    read from it (``CompiledProgram.goal_marginal``), and its shots are one
-    seeded draw on that marginal, as ``infer_shots`` makes them.
+    The single-fact program is compiled once. The shots column is one call
+    of ``shots_rows`` on the exact marginals of all rows, which come from
+    one ``CompiledProgram.goal_marginals`` call, so each row's shots are
+    the draw ``infer_shots`` would make on that row's program.
     """
     cp = compile_ruleset(RuleSet({"F": 0.0}, (), "F"))
+    deltas = range(0, 101, 10)
+    sampled = shots_rows(cp.goal, cp.goal_marginals([[d] for d in deltas]), shots, seed)
     rows = []
-    for delta in range(0, 101, 10):
+    for delta, shot in zip(deltas, sampled):
         amps = fact_amplitudes(delta)
-        sampled = shots_at(cp.goal, cp.goal_marginal([delta]), shots, seed)
         rows.append([
             str(delta),
             _fmt(amps.p_true),
@@ -147,8 +149,8 @@ def table7_rows(shots: int, seed: int) -> list[list[str]]:
             _fmt(amps.p_true + amps.p_false),
             _fmt(amps.amp_true),
             _fmt(amps.amp_false),
-            _fmt(sampled.p_true),
-            _fmt(sampled.p_false),
+            _fmt(shot.p_true),
+            _fmt(shot.p_false),
         ])
     return rows
 
@@ -158,26 +160,27 @@ def table8_rows(shots: int, seed: int,
     """Table 8: the demonstration network at each of its 28 disbelief rows.
 
     The network's structure is fixed, so it is compiled once and enumerated
-    once. The oracle column comes from one ``oracle_rows`` call, the exact
-    column from the compiled program's ``goal_marginal`` of each row, and
-    the shots column from one seeded draw on each row's exact value, as
-    ``infer_shots`` makes it. Every value equals what a per-row oracle,
-    compile, ``infer_exact`` and ``infer_shots`` would give.
+    once, and each column takes all rows in one call: the oracle column
+    ``oracle_rows``, the exact column the compiled program's
+    ``goal_marginals`` and the shots column ``shots_rows`` on the exact
+    values. Every value equals what a per-row oracle, compile,
+    ``infer_exact`` and ``infer_shots`` would give.
     """
     rs = demo_ruleset()
     cp = compile_ruleset(rs)
-    truths = oracle_rows(rs, [deltas for deltas, _ in TABLE8])
+    deltas = [row for row, _ in TABLE8]
+    truths = oracle_rows(rs, deltas)
+    exacts = cp.goal_marginals(deltas)
+    sampled = shots_rows(cp.goal, exacts, shots, seed)
     rows = []
-    for (deltas, printed), truth in zip(TABLE8, truths):
-        exact = cp.goal_marginal(deltas)
-        sampled = shots_at(cp.goal, exact, shots, seed)
+    for (row, printed), truth, exact, shot in zip(TABLE8, truths, exacts, sampled):
         deviation = abs(truth.p_true - printed)
         flag = "MATCH" if deviation <= divergence_threshold else "DIVERGES"
         rows.append([
-            *[str(d) for d in deltas],
+            *[str(d) for d in row],
             _fmt(truth.p_true),
             _fmt(exact),
-            _fmt(sampled.p_true),
+            _fmt(shot.p_true),
             _fmt(printed),
             _fmt(deviation),
             flag,

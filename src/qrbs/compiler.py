@@ -34,8 +34,8 @@ from .statevec import (
     Circuit,
     CircuitOp,
     _draw_counts,
-    plane_weight,
-    world_weights,
+    circuit_planes,
+    plane_marginals,
     worlds,
 )
 from .uncertainty import delta_to_alpha
@@ -62,6 +62,15 @@ def fact_theta(delta: float) -> float:
 
 @dataclass(frozen=True)
 class CompiledProgram:
+    """A compiled rule network: its circuit, qubit plan and goal qubit.
+
+    Its exact goal marginals come from one simulation, ``circuit_planes``,
+    run on first use: the rules fix the goal qubit's plane, and any row of
+    disbeliefs only reweights the worlds (``statevec.plane_marginals``).
+    ``goal_marginals`` is the one exact path; ``goal_marginal`` and
+    ``p_goal`` are its one-row cases.
+    """
+
     circuit: Circuit
     plan: QubitPlan
     goal: str
@@ -69,42 +78,45 @@ class CompiledProgram:
     true_bit: int = TRUE_BIT
 
     @cached_property
-    def _simulation(self) -> tuple[float, int]:
-        """``p_goal`` and the goal's plane, from one ``statevec.worlds`` run.
+    def _goal_plane(self) -> int:
+        """The goal qubit's plane, from the program's one simulation."""
+        return circuit_planes(self.circuit)[self.goal_qubit]
 
-        This is the program's one simulation, over the worlds of its base
-        facts; it runs on first use only and keeps no world weights.
-        """
-        weights, planes = worlds(self.circuit)
-        goal_plane = planes[self.goal_qubit]
-        return plane_weight(weights, goal_plane), goal_plane
-
-    @property
+    @cached_property
     def p_goal(self) -> float:
         """Exact probability of reading 1 on the goal qubit.
 
-        The one-row case of ``goal_marginal``: the weight of the worlds
-        whose goal plane reads 1, at the disbeliefs the program was
-        compiled with, which are the M layer's angles.
+        The one-row case of ``goal_marginals``, at the disbeliefs the
+        program was compiled with, which are the M layer's angles.
         """
-        return self._simulation[0]
+        m_layer = self.circuit.ops[: len(self.plan.fact_qubits)]
+        thetas = [[op.gate.theta for op in m_layer]]
+        return float(plane_marginals(self._goal_plane, thetas)[0])
 
-    def goal_marginal(self, deltas: Sequence[float]) -> float:
-        """Exact goal probability with the base facts at disbeliefs ``deltas``.
+    def goal_marginals(self, rows: Sequence[Sequence[float]]) -> list[float]:
+        """Exact goal probability for each row of base-fact disbeliefs.
 
-        ``deltas`` holds one disbelief per base fact, in declaration order.
-        The rules fix the goal's plane, so it is simulated once and reused;
-        only the world weights are built for ``deltas``, from the angles
-        ``fact_theta`` gives the M gates. For the compiled disbeliefs this
-        equals ``p_goal`` bit for bit.
+        A row holds one disbelief per base fact, in declaration order, and
+        each gives its M gate the angle ``fact_theta`` of it, worked out
+        once per distinct disbelief. The rows are weighted in one call on
+        the goal's plane. A row's value does not depend on the other rows,
+        and at the compiled disbeliefs it equals ``p_goal`` bit for bit.
         """
         n_facts = len(self.plan.fact_qubits)
-        if len(deltas) != n_facts:
-            raise ValueError(
-                f"expected {n_facts} disbeliefs, one per base fact, got {len(deltas)}"
-            )
-        _, goal_plane = self._simulation
-        return plane_weight(world_weights([fact_theta(d) for d in deltas]), goal_plane)
+        for row in rows:
+            if len(row) != n_facts:
+                raise ValueError(
+                    f"expected {n_facts} disbeliefs, one per base fact, got {len(row)}"
+                )
+        if not rows:
+            return []
+        theta = {d: fact_theta(d) for d in {d for row in rows for d in row}}
+        angles = [[theta[d] for d in row] for row in rows]
+        return plane_marginals(self._goal_plane, angles).tolist()
+
+    def goal_marginal(self, deltas: Sequence[float]) -> float:
+        """``goal_marginals`` of the one row ``deltas``."""
+        return self.goal_marginals([deltas])[0]
 
 
 def _block_ops(block: str, inputs: tuple[int, ...], anc: int) -> list[CircuitOp]:

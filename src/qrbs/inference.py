@@ -23,7 +23,7 @@ from operator import add
 from typing import Sequence
 
 from .compiler import BudgetError, CompiledProgram, compile_ruleset
-from .ruledsl import And, FactRef, Not, Rule, RuleSet, premise_nodes, topo_order
+from .ruledsl import And, Expr, FactRef, Not, Rule, RuleSet, topo_order
 from .statevec import check_seed, check_shots
 from .uncertainty import fact_amplitudes
 
@@ -69,25 +69,38 @@ def infer_shots(cp: CompiledProgram, shots: int, seed: int) -> InferenceResult:
 
     Each shot measures the circuit's single measured qubit, the goal, so the
     count of ones is one Binomial(shots, p) draw on the exact goal marginal
-    ``cp.p_goal`` (``shots_at``).
+    ``cp.p_goal``: the one-row case of ``shots_rows``.
     """
-    return shots_at(cp.goal, cp.p_goal, shots, seed)
+    return shots_rows(cp.goal, [cp.p_goal], shots, seed)[0]
 
 
-def shots_at(goal: str, p: float, shots: int, seed: int) -> InferenceResult:
-    """``shots`` seeded measurements of a goal whose exact marginal is ``p``.
+def shots_rows(goal: str, ps: Sequence[float], shots: int, seed: int
+               ) -> list[InferenceResult]:
+    """``shots`` seeded measurements of a goal at each exact marginal in ``ps``.
 
-    The count of ones is one Binomial(shots, p) draw from
+    Each count of ones is one Binomial(shots, p) draw from
     ``random.Random(seed)``, the standard library's Mersenne Twister
     (MT19937), by ``_binomialvariate``: Devroye's geometric method when
-    shots * p < 10, Hörmann's BTRS otherwise. Time and memory are O(1) in
-    the shot count, and no numpy generator is built.
+    shots * p < 10, Hörmann's BTRS otherwise. The generator is seeded once
+    and its state restored before each row after the first, so every row
+    draws what a fresh ``random.Random(seed)`` would. Time and memory are
+    O(1) in the shot count, and no numpy generator is built.
     """
     check_shots(shots)
     check_seed(seed)
-    # min() absorbs norm drift that could put p a few ulps above 1
-    ones = _binomialvariate(random.Random(seed), shots, min(p, 1.0))
-    return InferenceResult(goal, ones / shots, (shots - ones) / shots, "shots", shots, seed)
+    rng = random.Random(seed)
+    # restoring the state costs less than seeding again, but saving it costs
+    # more than both: it is saved only when a second row will restore it
+    seeded = rng.getstate() if len(ps) > 1 else None
+    results = []
+    for i, p in enumerate(ps):
+        if i:
+            rng.setstate(seeded)
+        # min() absorbs norm drift that could put p a few ulps above 1
+        ones = _binomialvariate(rng, shots, min(p, 1.0))
+        results.append(InferenceResult(
+            goal, ones / shots, (shots - ones) / shots, "shots", shots, seed))
+    return results
 
 
 def _binomialvariate(rng: random.Random, n: int, p: float) -> int:
@@ -157,24 +170,35 @@ def _postfix(rs: RuleSet, order: list[Rule]) -> tuple[list[tuple], str | int]:
     Each connective is one instruction (op, out, a, b): it sets key ``out``,
     a new int, from the values at keys ``a`` and ``b`` (``b`` is None for
     "not"). A base fact's key is its name, and a conclusion's key is that of
-    its premise. Premises are read through premise_nodes, so that one of any
-    depth needs no recursion; reversed, its pre-order puts each node after
-    its operands.
+    its premise. Each premise is walked in post-order, left operand first,
+    with an explicit stack, so that one of any depth needs no recursion. In
+    a left-nested chain such as ``t1 or t2 or ...`` each "or" then follows
+    its right operand at once, and only a few values are live at a time.
     """
     key: dict[str, str | int] = {name: name for name in rs.base_facts}
     code: list[tuple] = []
     for rule in order:
         operands: list[str | int] = []  # keys of the operands not yet used
-        for node in reversed(list(premise_nodes(rule.premise))):
+        stack: list[tuple[Expr, bool]] = [(rule.premise, False)]
+        while stack:
+            node, operands_done = stack.pop()
             if isinstance(node, FactRef):
                 operands.append(key[node.name])
-                continue
-            if isinstance(node, Not):
-                code.append((_NOT, len(code), operands.pop(), None))
+            elif not operands_done:
+                stack.append((node, True))
+                if isinstance(node, Not):
+                    stack.append((node.operand, False))
+                else:
+                    stack += ((node.right, False), (node.left, False))
             else:
-                op = _AND if isinstance(node, And) else _OR
-                code.append((op, len(code), operands.pop(), operands.pop()))
-            operands.append(code[-1][1])
+                if isinstance(node, Not):
+                    instruction = (_NOT, len(code), operands.pop(), None)
+                else:
+                    right, left = operands.pop(), operands.pop()
+                    op = _AND if isinstance(node, And) else _OR
+                    instruction = (op, len(code), left, right)
+                operands.append(len(code))
+                code.append(instruction)
         key[rule.conclusion] = operands.pop()
     return code, key[rs.goal]
 
@@ -199,7 +223,8 @@ def oracle_rows(rs: RuleSet, rows: Sequence[Sequence[float]]) -> list[OracleResu
     exclusive or with the all-ones plane), so each rule costs a few big-int
     operations, not a loop over worlds. A world's weight is the product, in
     declaration order, of sin^2 theta for each true fact and cos^2 theta
-    for each false one, built as a table of prefix products over the facts,
+    for each false one, worked out once per distinct disbelief of the call
+    and built as a table of prefix products over the facts,
     so each row's result equals a separate ``oracle`` call on a RuleSet
     with that row's disbeliefs, bit for bit. The goal-true weights are
     summed by a left fold in world order. Nothing here touches the compiler
@@ -213,14 +238,17 @@ def oracle_rows(rs: RuleSet, rows: Sequence[Sequence[float]]) -> list[OracleResu
             f"enumeration over {len(names)} base facts exceeds "
             f"{MAX_ORACLE_FACTS}"
         )
-    factors = []  # per row: (P(false), P(true)) of each fact
     for row in rows:
         if len(row) != len(names):
             raise ValueError(
                 f"expected {len(names)} disbeliefs, one per base fact, got {len(row)}"
             )
-        p_fact = [fact_amplitudes(delta).p_true for delta in row]
-        factors.append([(1.0 - p, p) for p in p_fact])
+    # (P(false), P(true)) of each distinct disbelief, worked out once
+    pair = {}
+    for delta in {delta for row in rows for delta in row}:
+        p = fact_amplitudes(delta).p_true
+        pair[delta] = (1.0 - p, p)
+    factors = [[pair[delta] for delta in row] for row in rows]
     code, goal = _postfix(rs, order)
 
     # bit w of a plane is the value in world w, and fact i is bit i of the

@@ -10,10 +10,13 @@ Two simulators share one circuit type.
   It is two steps: ``world_weights`` turns the k M angles into the 2^k
   weights, and ``circuit_planes`` turns the circuit into the planes. The
   planes do not depend on the M angles, so a program compiled once can be
-  weighted for many disbelief rows. ``plane_weight`` sums the
-  weights of the worlds where a plane reads 1. Compiled programs,
-  ``truth_table_check`` and ``rq_gate_demo`` use them; cost and memory grow
-  with 2^k, not 2^n.
+  weighted for many rows of angles. ``truth_table_check`` and
+  ``rq_gate_demo`` use ``worlds``; cost and memory grow with 2^k, not 2^n.
+* ``plane_marginals`` gives a compiled program's exact goal marginal: the
+  weight of the worlds where one plane reads 1, for many rows of M angles
+  at once. The weights are a Kronecker product of one factor pair per M
+  gate, so it never builds them: it sums two factors of about 2^(k/2)
+  entries each under the plane.
 * ``run`` is the dense 2^n state vector for any circuit, H/S/T/Z
   included, with ``init_zero``, ``apply``, ``marginal_prob_one`` and
   ``sample`` around it.
@@ -43,6 +46,7 @@ Circuits are capped at 24 qubits.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -227,8 +231,7 @@ def world_weights(thetas: Sequence[float]) -> np.ndarray:
 
     ``weights[w]`` (float64, 2^k) is the product over i of cos^2(thetas[i])
     if bit i of w is 1, else sin^2(thetas[i]). This is the M layer's half
-    of ``worlds``: it depends on the angles alone, so one circuit's planes
-    serve any number of angle rows.
+    of ``worlds``: it depends on the angles alone.
     """
     n_worlds = 1 << len(thetas)
     weights = np.empty(n_worlds)
@@ -307,13 +310,63 @@ def worlds(circuit: Circuit) -> tuple[np.ndarray, list[int]]:
     return world_weights([op.gate.theta for op in m_layer]), planes
 
 
-def plane_weight(weights: np.ndarray, plane: int) -> float:
-    """Total weight of the worlds where ``plane`` reads 1.
+@functools.cache
+def _factor_index(k: int) -> np.ndarray:
+    """Where ``plane_marginals`` reads each world's factors, for k M gates.
 
-    The plane is unpacked to one byte per world only for this sum, which
-    adds in the same order as ``weights.sum(where=mask)`` over a bool mask.
+    A row of factors holds sin^2 theta_i in column i, cos^2 theta_i in
+    column k + i, and 1.0 in column 2k. Of the k facts, the low half has
+    a = k // 2 and the high half m = k - a. Entry [0, l, j] is the column of
+    fact j's factor in low world l, and [1, h, j] that of fact a + j in high
+    world h, so both halves are (2^m, m). For odd k the low half's last
+    column is the 1.0: its entries from 2^a on repeat the first 2^a and are
+    never read. The array is read-only, as the cache shares it.
     """
-    n_worlds = weights.size
+    a, m = k // 2, k - k // 2
+    facts = np.arange(m)
+    bits = np.arange(1 << m)[:, None] >> facts & 1
+    low = np.where(facts < a, facts + k * bits, 2 * k)
+    index = np.stack((low, a + facts + k * bits))
+    index.setflags(write=False)
+    return index
+
+
+def plane_marginals(plane: int, thetas: Sequence[Sequence[float]] | np.ndarray
+                    ) -> np.ndarray:
+    """Weight of the worlds where ``plane`` reads 1, for each row of angles.
+
+    ``thetas`` holds R >= 1 rows, as nested sequences or an (R, k) array.
+    A row holds the angles of the k M gates, in gate order. Bit w of the plane is its value in world w, whose weight is
+    the product over i of cos^2 theta_i if bit i of w is 1,
+    else sin^2 theta_i. The 2^k weights are a Kronecker product and are
+    never built. A world index splits into its low a = k // 2 bits, l, and
+    its high bits, h, so weight[h * 2^a + l] = high[h] * low[l], where low
+    and high are the products over each half's facts, taken in fact order.
+    The plane is unpacked once into a (2^(k - a), 2^a) bool mask, one byte
+    a world. For every row, np.add.reduce with where=mask sums the low
+    factor over each mask row, through a view that repeats the factor
+    without copying it, and those sums are dotted with the high factor.
+    No R x 2^k array and no float copy of the mask is made: memory is the
+    2^k-byte mask plus O(R k 2^(k/2)). The rows do not interact, so each
+    row's value is the same bits whatever rows come with it. Returns a
+    float64 array of the R marginals.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    n_rows, k = thetas.shape
+    factors = np.empty((n_rows, 2 * k + 1))
+    np.sin(thetas, out=factors[:, :k])
+    np.cos(thetas, out=factors[:, k:-1])
+    factors[:, -1] = 1.0
+    factors *= factors  # M(theta)|0> has real amplitudes (sin, cos)
+    # tables[r, 0] is row r's low factor, tables[r, 1] its high factor
+    tables = np.multiply.reduce(factors.take(_factor_index(k), axis=1), axis=3)
+    n_worlds = 1 << k
     packed = np.frombuffer(plane.to_bytes((n_worlds + 7) // 8, "little"), dtype=np.uint8)
     mask = np.unpackbits(packed, count=n_worlds, bitorder="little").view(bool)
-    return float(weights.sum(where=mask))
+    mask = mask.reshape(-1, 1 << k // 2)
+    # each row's low factor, repeated for every high world by a zero stride
+    low = np.ndarray((n_rows, *mask.shape), buffer=tables,
+                     strides=(tables.strides[0], 0, tables.strides[2]))
+    under = np.add.reduce(low, axis=2, where=mask)
+    under *= tables[:, 1]
+    return np.add.reduce(under, axis=1)

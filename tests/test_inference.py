@@ -9,7 +9,9 @@ import pytest
 from helpers import random_ruleset
 from qrbs import compiler, inference, statevec
 from qrbs.compiler import BudgetError, compile_ruleset
-from qrbs.inference import cross_validate, infer_exact, infer_shots, oracle, oracle_rows
+from qrbs.inference import (
+    cross_validate, infer_exact, infer_shots, oracle, oracle_rows, shots_rows,
+)
 from qrbs.reference import TABLE8, demo_ruleset
 from qrbs.ruledsl import And, FactRef, Not, Rule, RuleSet, parse, topo_order
 from qrbs.uncertainty import fact_amplitudes
@@ -181,9 +183,17 @@ def test_goal_marginal_equals_p_goal_of_the_rebuilt_program():
         rs = random_ruleset(seed)
         cp = compile_ruleset(rs)
         rows = _random_rows(rs, rng) + [list(rs.base_facts.values())]
-        assert [cp.goal_marginal(row) for row in rows] == [
-            compile_ruleset(_with_deltas(rs, row)).p_goal for row in rows
-        ]
+        rebuilt = [compile_ruleset(_with_deltas(rs, row)) for row in rows]
+        exact = [program.p_goal for program in rebuilt]
+        assert [cp.goal_marginal(row) for row in rows] == exact
+        assert cp.goal_marginals(rows) == exact
+        assert cp.goal_marginals(rows)[-1] == cp.p_goal
+        # 1 shot, the geometric method and BTRS
+        for shots in (1, 50, 8192):
+            assert shots_rows(rs.goal, exact, shots, seed) == [
+                infer_shots(program, shots, seed) for program in rebuilt
+            ]
+    assert cp.goal_marginals([]) == []
 
 
 def test_rows_must_give_one_disbelief_per_base_fact():
@@ -206,7 +216,7 @@ def test_oracle_rows_run_without_the_compiler_or_the_simulator(monkeypatch):
         raise AssertionError("the oracle must not use the compiler or the simulator")
 
     for module in (statevec, compiler, inference):
-        for name in ("worlds", "world_weights", "circuit_planes", "plane_weight",
+        for name in ("worlds", "world_weights", "circuit_planes", "plane_marginals",
                      "compile_ruleset"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, unavailable)
@@ -328,6 +338,57 @@ def test_oracle_holds_only_live_planes_of_a_600_rule_chain():
     assert peak < 16 * 2**20
 
 
+def test_oracle_holds_a_few_planes_of_a_left_nested_premise():
+    # t1 or t2 or ... parses left-nested: the oracle must combine each term
+    # as soon as it is built, not keep all 2000 terms' planes until the
+    # "or"s run. A plane is 2^18 bits, 32 KiB; 2000 of them are 62 MiB
+    facts = [f"fact F{i} disbelief {5 * i + 3}" for i in range(18)]
+    terms = [f"F{i % 18} and not F{(7 * i + 1) % 18}" for i in range(2000)]
+
+    def peak(premise):
+        rs = parse("\n".join([*facts, f"rule R: if {premise} then G", "goal G"]))
+        tracemalloc.start()
+        try:
+            oracle(rs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the one-term baseline holds the weight table, the fact planes and the
+    # goal's bytes; the long premise adds its 6000 instructions, about
+    # 0.7 MiB, and a few planes
+    assert peak(" or ".join(terms)) - peak(terms[0]) < 2**20
+
+
+def test_exact_marginal_on_23_facts_equals_its_closed_form():
+    # 2^23 worlds, of which f0 and f1 hold in a quarter: the marginal is
+    # p0 * p1 to within a rounding or two
+    rs = parse("\n".join([*(f"fact f{i} disbelief {(37 * i + 11) % 101}" for i in range(23)),
+                          "rule R: if f0 and f1 then g", "goal g"]))
+    expected = _p_true(11) * _p_true(48)
+    assert abs(compile_ruleset(rs).p_goal - expected) <= 1e-15
+
+
+def test_goal_marginals_of_64_rows_hold_no_row_of_world_weights():
+    # 64 rows of 2^20 float weights would be 512 MiB, and one row 8 MiB;
+    # the mask of 2^20 bytes and each row's two 2^10-entry factors stay small
+    rs = parse("\n".join([*(f"fact f{i} disbelief {5 * i}" for i in range(20)),
+                          "rule R: if f0 and f1 or not f19 then g", "goal g"]))
+    cp = compile_ruleset(rs)
+    rng = random.Random(15)
+    rows = [[rng.uniform(0.0, 100.0) for _ in range(20)] for _ in range(64)]
+    tracemalloc.start()
+    try:
+        marginals = cp.goal_marginals(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    for row, p in zip(rows[:3], marginals):
+        p0, p1, p19 = _p_true(row[0]), _p_true(row[1]), _p_true(row[19])
+        assert p == pytest.approx(1.0 - (1.0 - p0 * p1) * p19, abs=1e-12)
+
+
 def test_cross_validate_demo_grid():
     for deltas in [(0,) * 5, (50,) * 5, (100,) * 5, (20, 60, 0, 0, 20), (60, 100, 20, 0, 0)]:
         report = cross_validate(demo_ruleset(deltas))
@@ -364,16 +425,16 @@ def test_shot_estimates_converge_at_four_sigma():
 def test_exact_and_shots_share_one_simulation(monkeypatch):
     runs = []
 
-    def counting_worlds(circuit):
+    def counting_planes(circuit):
         runs.append(circuit)
-        return statevec.worlds(circuit)
+        return statevec.circuit_planes(circuit)
 
     def no_sample(*args):
         raise AssertionError("shot inference must not sample the register")
 
     for module in (compiler, inference):
-        if hasattr(module, "worlds"):
-            monkeypatch.setattr(module, "worlds", counting_worlds)
+        if hasattr(module, "circuit_planes"):
+            monkeypatch.setattr(module, "circuit_planes", counting_planes)
         for name in ("sample", "_draw_counts"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, no_sample)
@@ -394,6 +455,7 @@ def test_shot_count_is_a_seeded_binomial_draw():
         for seed in range(5):
             ones = inference._binomialvariate(random.Random(seed), 8192, cp.p_goal)
             assert infer_shots(cp, 8192, seed).p_true == ones / 8192
+            assert shots_rows(cp.goal, [0.5, cp.p_goal], 8192, seed)[1].p_true == ones / 8192
             counts.add(ones)
         assert len(counts) > 1
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import re
 
 import numpy as np
@@ -18,7 +20,7 @@ from qrbs.statevec import (
     apply,
     init_zero,
     marginal_prob_one,
-    plane_weight,
+    plane_marginals,
     run,
     sample,
     worlds,
@@ -311,15 +313,23 @@ def _bool_planes(circuit):
     return planes
 
 
+def _m_angles(circuit):
+    m_layer = itertools.takewhile(lambda op: op.gate.name == "M", circuit.ops)
+    return [op.gate.theta for op in m_layer]
+
+
 def _assert_worlds_match_dense(circuit):
     weights, planes = worlds(circuit)
     state = run(circuit, init_zero(circuit.n_qubits))
     reference = _bool_planes(circuit)
+    thetas = np.array([_m_angles(circuit)])
     for q in range(circuit.n_qubits):
-        assert abs(plane_weight(weights, planes[q]) - marginal_prob_one(state, q)) <= 1e-12
-        # the packed plane holds the same bits and sums them in the same order
+        (p,) = plane_marginals(planes[q], thetas)
+        assert abs(p - marginal_prob_one(state, q)) <= 1e-12
+        # the packed plane holds the same bits, and its marginal is the
+        # weight of the worlds they mark
         assert _bits(planes[q], weights.size) == reference[q].tolist()
-        assert plane_weight(weights, planes[q]) == weights.sum(where=reference[q])
+        assert abs(p - weights.sum(where=reference[q])) <= 1e-12
 
 
 def test_worlds_match_dense_on_random_networks():
@@ -344,6 +354,22 @@ def test_worlds_match_dense_on_random_permutation_circuits():
 def test_worlds_match_dense_on_table8():
     for deltas, _ in TABLE8:
         _assert_worlds_match_dense(compile_ruleset(demo_ruleset(deltas)).circuit)
+
+
+def test_plane_marginals_of_many_rows_equal_one_row_calls():
+    # odd and even k, so both halves' shapes occur, with angles at the ends
+    # of the range among the random ones
+    rng = random.Random(5)
+    for k in range(17):
+        plane = rng.getrandbits(1 << k)
+        rows = [[rng.choice([0.0, math.pi / 2, rng.uniform(0.0, math.pi / 2)])
+                 for _ in range(k)] for _ in range(6)]
+        batched = plane_marginals(plane, np.array(rows).reshape(6, k)).tolist()
+        assert batched == [plane_marginals(plane, np.array([row]).reshape(1, k))[0]
+                           for row in rows]
+        mask = np.array(_bits(plane, 1 << k))
+        for row, p in zip(rows, batched):
+            assert abs(p - statevec.world_weights(row).sum(where=mask)) <= 1e-12
 
 
 @pytest.mark.parametrize(
