@@ -161,10 +161,12 @@ def table8_rows(shots: int, seed: int,
 
     The network's structure is fixed, so it is compiled once and enumerated
     once, and each column takes all rows in one call: the oracle column
-    ``oracle_rows``, the exact column the compiled program's
-    ``goal_marginals`` and the shots column ``shots_rows`` on the exact
-    values. Every value equals what a per-row oracle, compile,
-    ``infer_exact`` and ``infer_shots`` would give.
+    ``oracle_rows``, which weights the worlds of all 28 rows in one table,
+    the exact column the compiled program's ``goal_marginals`` and the
+    shots column ``shots_rows`` on the exact values, which seeds one
+    generator and replays its uniforms for each row. Every value equals
+    what a per-row oracle, compile, ``infer_exact`` and ``infer_shots``
+    would give.
     """
     rs = demo_ruleset()
     cp = compile_ruleset(rs)

@@ -17,10 +17,11 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
+from itertools import compress, cycle, repeat, tee
 from math import fabs, floor, lgamma, log, log2, sqrt
-from operator import add
-from typing import Sequence
+from operator import add, mul
+from types import SimpleNamespace
+from typing import Callable, Sequence
 
 from .compiler import BudgetError, CompiledProgram, compile_ruleset
 from .ruledsl import And, Expr, FactRef, Not, Rule, RuleSet, topo_order
@@ -28,6 +29,11 @@ from .statevec import check_seed, check_shots
 from .uncertainty import fact_amplitudes
 
 MAX_ORACLE_FACTS = 20
+# The most weights one block of oracle rows holds, 512 KiB; a block holds
+# one row at least. At 2^16 weights a block's per-fact calls cost little
+# next to its arithmetic, and from 16 facts on a block is one row, so many
+# rows take no more memory than one
+ORACLE_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -82,29 +88,32 @@ def shots_rows(goal: str, ps: Sequence[float], shots: int, seed: int
     ``random.Random(seed)``, the standard library's Mersenne Twister
     (MT19937), by ``_binomialvariate``: Devroye's geometric method when
     shots * p < 10, Hörmann's BTRS otherwise. The generator is seeded once
-    and its state restored before each row after the first, so every row
-    draws what a fresh ``random.Random(seed)`` would. Time and memory are
-    O(1) in the shot count, and no numpy generator is built.
+    per call, and its uniforms pass through one ``itertools.tee``. Each row
+    reads its own copy of the tee from the first uniform: the copy replays
+    what earlier rows drew and draws from the generator only past it, so
+    every row sees the uniforms a fresh ``random.Random(seed)`` would
+    yield, and no generator state is saved or restored. A row takes a few
+    uniforms, and one at p = 0 or 1 takes none, so the tee holds few. Time
+    and memory are O(1) in the shot count, and no numpy generator is built.
     """
     check_shots(shots)
     check_seed(seed)
-    rng = random.Random(seed)
-    # restoring the state costs less than seeding again, but saving it costs
-    # more than both: it is saved only when a second row will restore it
-    seeded = rng.getstate() if len(ps) > 1 else None
+    # the anchor is never read, so each copy of it starts at the first
+    # uniform; the tee keeps every uniform a copy has read for later copies
+    uniforms = tee(iter(random.Random(seed).random, None), 1)[0]
+    stream = SimpleNamespace()
     results = []
-    for i, p in enumerate(ps):
-        if i:
-            rng.setstate(seeded)
+    for p in ps:
+        stream.random = uniforms.__copy__().__next__
         # min() absorbs norm drift that could put p a few ulps above 1
-        ones = _binomialvariate(rng, shots, min(p, 1.0))
+        ones = _binomialvariate(stream, shots, min(p, 1.0))
         results.append(InferenceResult(
             goal, ones / shots, (shots - ones) / shots, "shots", shots, seed))
     return results
 
 
-def _binomialvariate(rng: random.Random, n: int, p: float) -> int:
-    """A Binomial(n, p) count, 0 <= p <= 1, drawn from ``rng``.
+def _binomialvariate(rng: random.Random | SimpleNamespace, n: int, p: float) -> int:
+    """A Binomial(n, p) count, 0 <= p <= 1, drawn from ``rng.random``.
 
     A port of CPython 3.12's ``Random.binomialvariate``, which 3.10 and 3.11
     lack: for the same generator state it returns the same count and
@@ -223,13 +232,17 @@ def oracle_rows(rs: RuleSet, rows: Sequence[Sequence[float]]) -> list[OracleResu
     exclusive or with the all-ones plane), so each rule costs a few big-int
     operations, not a loop over worlds. A world's weight is the product, in
     declaration order, of sin^2 theta for each true fact and cos^2 theta
-    for each false one, worked out once per distinct disbelief of the call
-    and built as a table of prefix products over the facts,
-    so each row's result equals a separate ``oracle`` call on a RuleSet
-    with that row's disbeliefs, bit for bit. The goal-true weights are
-    summed by a left fold in world order. Nothing here touches the compiler
-    or the circuit: the oracle builds its own planes and weights, and stays
-    an independent check of them.
+    for each false one, worked out once per distinct disbelief of the call.
+    The rows go in blocks of at most ``ORACLE_BLOCK_ENTRIES`` weights (one
+    row at least), and each block's weights are one world-major table of
+    prefix products over the facts: a fact costs two C-level passes over
+    the block, not two per row. Each row's goal-true weights are then
+    summed by a left fold in world order over its column of the table, so
+    each row's result equals a separate ``oracle`` call on a RuleSet with
+    that row's disbeliefs, bit for bit, and the memory held is that of one
+    block. Nothing here touches the compiler or the circuit: the oracle
+    builds its own planes and weights, and stays an independent check of
+    them.
     """
     order = topo_order(rs)
     names = list(rs.base_facts)
@@ -243,12 +256,12 @@ def oracle_rows(rs: RuleSet, rows: Sequence[Sequence[float]]) -> list[OracleResu
             raise ValueError(
                 f"expected {len(names)} disbeliefs, one per base fact, got {len(row)}"
             )
-    # (P(false), P(true)) of each distinct disbelief, worked out once
-    pair = {}
+    # P(false) and P(true) of each distinct disbelief, worked out once
+    p_false_of: dict[float, float] = {}
+    p_true_of: dict[float, float] = {}
     for delta in {delta for row in rows for delta in row}:
         p = fact_amplitudes(delta).p_true
-        pair[delta] = (1.0 - p, p)
-    factors = [[pair[delta] for delta in row] for row in rows]
+        p_false_of[delta], p_true_of[delta] = 1.0 - p, p
     code, goal = _postfix(rs, order)
 
     # bit w of a plane is the value in world w, and fact i is bit i of the
@@ -282,23 +295,47 @@ def oracle_rows(rs: RuleSet, rows: Sequence[Sequence[float]]) -> list[OracleResu
     digits = format(values[goal], f"0{n_worlds}b")[::-1]
     goal_true = digits.encode().translate(_DIGIT_BYTES)
 
-    results = []
-    for row_factors in factors:
-        # fact i is bit i of the world index: each fact doubles the table,
-        # its false half first. An array of doubles takes 8 bytes a world,
-        # a list of floats 32; x.__mul__(w) is x * w, the same double as w * x
-        weights = array("d", [1.0])
-        for p_false, p_true in row_factors:
-            doubled = array("d", map(p_false.__mul__, weights))
-            doubled.extend(map(p_true.__mul__, weights))
-            weights = doubled
+    block_rows = max(1, ORACLE_BLOCK_ENTRIES >> len(names))
+    return [OracleResult(rs.goal, p_goal, n_worlds)
+            for start in range(0, len(rows), block_rows)
+            for p_goal in _goal_weights(rows[start:start + block_rows], p_false_of.__getitem__,
+                                        p_true_of.__getitem__, goal_true)]
+
+
+def _goal_weights(block: Sequence[Sequence[float]], p_false: Callable[[float], float],
+                  p_true: Callable[[float], float], goal_true: bytes) -> list[float]:
+    """The goal-true weight of each row of disbeliefs in ``block``.
+
+    ``p_false`` and ``p_true`` map a disbelief to a fact's P(false) and
+    P(true), and byte w of ``goal_true`` is 1 where the goal holds in world
+    w. Entry w * R + r of one world-major table is row r's weight of world
+    w. Fact i is bit i of the world index: each fact doubles the table, its
+    false half first, and cycle() lines each row's factor up with that
+    row's entries. The table and its views are freed on return, before the
+    caller builds the next block's.
+    """
+    n_rows = len(block)
+    # an array of doubles takes 8 bytes a weight, a list of floats 32;
+    # mul(x, w) is x * w, as in a per-row product
+    table = array("d", [1.0]) * n_rows
+    for deltas in zip(*block):  # one fact's disbelief in each row
+        if n_rows == 1:  # the same factors as cycle() gives, built for less
+            falses, trues = repeat(p_false(deltas[0])), repeat(p_true(deltas[0]))
+        else:
+            falses, trues = cycle(map(p_false, deltas)), cycle(map(p_true, deltas))
+        doubled = array("d", map(mul, falses, table))
+        doubled.extend(map(mul, trues, table))
+        table = doubled
+    view = memoryview(table)
+    p_goals = []
+    for r in range(n_rows):
+        weights = view[r::n_rows]  # row r's, in world order
         # a left fold, as the per-world loop adds: sum() compensates its
         # rounding from Python 3.12 on
         total = reduce(add, weights, 0.0)
         assert abs(total - 1.0) <= 1e-12, "assignment weights must sum to 1"
-        p_goal = reduce(add, compress(weights, goal_true), 0.0)
-        results.append(OracleResult(rs.goal, p_goal, len(weights)))
-    return results
+        p_goals.append(reduce(add, compress(weights, goal_true), 0.0))
+    return p_goals
 
 
 def cross_validate(rs: RuleSet, tolerance: float = 1e-9) -> CrossValidation:

@@ -3,6 +3,7 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,7 +11,7 @@ from helpers import random_ruleset
 from qrbs import compiler, inference, statevec
 from qrbs.compiler import BudgetError, compile_ruleset
 from qrbs.inference import (
-    cross_validate, infer_exact, infer_shots, oracle, oracle_rows, shots_rows,
+    InferenceResult, cross_validate, infer_exact, infer_shots, oracle, oracle_rows, shots_rows,
 )
 from qrbs.reference import TABLE8, demo_ruleset
 from qrbs.ruledsl import And, FactRef, Not, Rule, RuleSet, parse, topo_order
@@ -147,22 +148,30 @@ def _eval(expr, values):
     return _eval(expr.left, values) or _eval(expr.right, values)
 
 
-def _per_world_oracle(rs):
-    """P(goal) by the plain per-world loop: each world's weight is a product
-    in declaration order, and the weights are summed in world order."""
+def _per_world_oracle_rows(rs, rows):
+    """P(goal) at each row of disbeliefs by the plain per-world loop: each
+    world's weight is a product in declaration order, and the weights are
+    summed in world order. The goal is evaluated once per world."""
     names = list(rs.base_facts)
-    p = [fact_amplitudes(delta).p_true for delta in rs.base_facts.values()]
-    p_goal = 0.0
+    ps = [[fact_amplitudes(delta).p_true for delta in row] for row in rows]
+    p_goals = [0.0] * len(rows)
     for mask in range(2 ** len(names)):
         values = {name: bool(mask >> i & 1) for i, name in enumerate(names)}
-        weight = 1.0
-        for i, name in enumerate(names):
-            weight *= p[i] if values[name] else 1.0 - p[i]
         for rule in topo_order(rs):
             values[rule.conclusion] = _eval(rule.premise, values)
-        if values[rs.goal]:
-            p_goal += weight
-    return p_goal
+        if not values[rs.goal]:
+            continue
+        for r, p in enumerate(ps):
+            weight = 1.0
+            for i, name in enumerate(names):
+                weight *= p[i] if values[name] else 1.0 - p[i]
+            p_goals[r] += weight
+    return p_goals
+
+
+def _per_world_oracle(rs):
+    """``_per_world_oracle_rows`` at the RuleSet's own disbeliefs."""
+    return _per_world_oracle_rows(rs, [list(rs.base_facts.values())])[0]
 
 
 def test_oracle_rows_equal_one_oracle_call_per_row():
@@ -175,6 +184,20 @@ def test_oracle_rows_equal_one_oracle_call_per_row():
         assert [r.p_true for r in results] == [
             _per_world_oracle(_with_deltas(rs, row)) for row in rows
         ]
+
+
+def test_oracle_rows_on_12_to_14_facts_equal_one_row_calls():
+    # 40 rows span several blocks at each size; at 12 facts the last one
+    # is part full
+    rng = random.Random(17)
+    for n_facts in (12, 13, 14):
+        rs = parse(_chain_source(n_facts))
+        rows = _random_rows(rs, rng, n_rows=38) + [[0.0] * n_facts, [100.0] * n_facts]
+        assert len(rows) << n_facts > inference.ORACLE_BLOCK_ENTRIES
+        results = oracle_rows(rs, rows)
+        assert results == [oracle(_with_deltas(rs, row)) for row in rows]
+        assert [r.p_true for r in results] == _per_world_oracle_rows(rs, rows)
+        assert oracle_rows(rs, []) == []
 
 
 def test_goal_marginal_equals_p_goal_of_the_rebuilt_program():
@@ -389,6 +412,31 @@ def test_goal_marginals_of_64_rows_hold_no_row_of_world_weights():
         assert p == pytest.approx(1.0 - (1.0 - p0 * p1) * p19, abs=1e-12)
 
 
+def test_oracle_rows_hold_one_block_of_world_weights():
+    # at 18 facts a block holds one row, whose 2^18 weights take 2 MiB; the
+    # four rows in one table would take 8 MiB. Four rows suffice: traced,
+    # each row takes most of a second
+    rs = parse("\n".join([*(f"fact f{i} disbelief {5 * i}" for i in range(18)),
+                          "rule R: if f0 and f1 or not f17 then g", "goal g"]))
+    rng = random.Random(16)
+    rows = [[rng.uniform(0.0, 100.0) for _ in range(18)] for _ in range(4)]
+
+    def peak(rows):
+        tracemalloc.start()
+        try:
+            results = oracle_rows(rs, rows)
+            return tracemalloc.get_traced_memory()[1], results
+        finally:
+            tracemalloc.stop()
+
+    one_row, _ = peak(rows[:1])
+    all_rows, results = peak(rows)
+    assert all_rows < 2 * one_row
+    for row, result in zip(rows, results):
+        p0, p1, p17 = _p_true(row[0]), _p_true(row[1]), _p_true(row[17])
+        assert result.p_true == pytest.approx(1.0 - (1.0 - p0 * p1) * p17, abs=1e-12)
+
+
 def test_cross_validate_demo_grid():
     for deltas in [(0,) * 5, (50,) * 5, (100,) * 5, (20, 60, 0, 0, 20), (60, 100, 20, 0, 0)]:
         report = cross_validate(demo_ruleset(deltas))
@@ -458,6 +506,41 @@ def test_shot_count_is_a_seeded_binomial_draw():
             assert shots_rows(cp.goal, [0.5, cp.p_goal], 8192, seed)[1].p_true == ones / 8192
             counts.add(ones)
         assert len(counts) > 1
+
+
+def _uniforms_drawn(shots, p, seed):
+    """How many uniforms one Binomial(shots, p) draw takes from ``Random(seed)``."""
+    rng, count = random.Random(seed), 0
+
+    def uniform():
+        nonlocal count
+        count += 1
+        return rng.random()
+
+    inference._binomialvariate(SimpleNamespace(random=uniform), shots, p)
+    return count
+
+
+@pytest.mark.parametrize("shots", [1, 50, 8192, 10**9])
+def test_every_shots_row_draws_what_a_fresh_generator_would(shots):
+    geometric = min(0.1, 5.0 / shots)  # shots * p = 5: the geometric method
+    ps = [0.0, 1.0, 0.5, geometric, 0.46875, 1.0 - geometric, 0.0, 1.0, 0.5]
+    grew_then_shrank = 0
+    for seed in range(20):
+        drawn = [_uniforms_drawn(shots, p, seed) for p in ps]
+        # p = 0 and 1 draw nothing: the 0.5 row reads past all that the
+        # rows before it recorded, and the rows at 0 and 1 after it less
+        assert drawn[0] == drawn[1] == drawn[6] == drawn[7] == 0 < drawn[2]
+        # the geometric row mostly reads past every row before it, and the
+        # BTRS row after it reads less
+        grew_then_shrank += drawn[4] < drawn[3] > max(drawn[:3])
+        fresh = [inference._binomialvariate(random.Random(seed), shots, p) for p in ps]
+        assert shots_rows("g", ps, shots, seed) == [
+            InferenceResult("g", ones / shots, (shots - ones) / shots, "shots", shots, seed)
+            for ones in fresh
+        ]
+        assert shots_rows("g", [], shots, seed) == []
+    assert grew_then_shrank > 0 or shots == 1
 
 
 def _chi_square_critical(df: int, z: float = 3.09) -> float:
