@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .gates import M, X
-from .ruledsl import And, Expr, FactRef, Not, RuleSet, premise_nodes, topo_order
+from .ruledsl import And, FactRef, Not, RuleSet, premise_nodes, topo_order
 from .statevec import (
     MAX_QUBITS,
     BudgetError,
@@ -75,7 +75,6 @@ class CompiledProgram:
     plan: QubitPlan
     goal: str
     goal_qubit: int
-    true_bit: int = TRUE_BIT
 
     @cached_property
     def _goal_plane(self) -> int:
@@ -145,14 +144,17 @@ def _block_ops(block: str, inputs: tuple[int, ...], anc: int) -> list[CircuitOp]
 
 
 def compile_ruleset(rs: RuleSet) -> CompiledProgram:
-    """Allocate qubits, prepare base facts, lower premises bottom-up."""
+    """Allocate qubits, prepare base facts, lower premises bottom-up.
+
+    Each premise is lowered in ``premise_nodes`` order: a connective's block
+    follows its operands' and writes the next fresh ancilla.
+    """
     order = topo_order(rs)
+    premises = [premise_nodes(rule.premise) for rule in order]
     # one qubit per base fact and one ancilla per Not/And/Or node, counted
-    # before lowering, which recurses once per level of a premise
+    # before any gate is built
     n_qubits = len(rs.base_facts) + sum(
-        not isinstance(node, FactRef)
-        for rule in rs.rules
-        for node in premise_nodes(rule.premise)
+        not isinstance(node, FactRef) for nodes in premises for node in nodes
     )
     if n_qubits > MAX_QUBITS:
         raise BudgetError(
@@ -160,45 +162,30 @@ def compile_ruleset(rs: RuleSet) -> CompiledProgram:
             f"compiled programs may use at most {MAX_QUBITS}"
         )
 
-    ops: list[CircuitOp] = []
-    fact_qubits: dict[str, int] = {}
-    next_qubit = 0
-    for name, delta in rs.base_facts.items():
-        fact_qubits[name] = next_qubit
-        ops.append(CircuitOp(M(fact_theta(delta)), next_qubit))
-        next_qubit += 1
-
+    ops = [CircuitOp(M(fact_theta(delta)), q)
+           for q, delta in enumerate(rs.base_facts.values())]
+    fact_qubits = {name: q for q, name in enumerate(rs.base_facts)}
+    qubit_of = dict(fact_qubits)  # and each conclusion once lowered
     conclusion_qubits: dict[str, int] = {}
+    next_qubit = len(fact_qubits)
+    for rule, nodes in zip(order, premises):
+        operands: list[int] = []  # qubits of the operands not yet used
+        for node in nodes:
+            if isinstance(node, FactRef):
+                operands.append(qubit_of[node.name])
+                continue
+            if isinstance(node, Not):
+                block, inputs = "not", (operands.pop(),)
+            else:
+                right = operands.pop()
+                block = "and" if isinstance(node, And) else "or"
+                inputs = (operands.pop(), right)
+            ops += _block_ops(block, inputs, next_qubit)
+            operands.append(next_qubit)
+            next_qubit += 1
+        qubit_of[rule.conclusion] = conclusion_qubits[rule.conclusion] = operands.pop()
 
-    def fresh() -> int:
-        nonlocal next_qubit
-        q = next_qubit
-        next_qubit += 1
-        return q
-
-    def lower(expr: Expr) -> int:
-        if isinstance(expr, FactRef):
-            if expr.name in fact_qubits:
-                return fact_qubits[expr.name]
-            return conclusion_qubits[expr.name]
-        if isinstance(expr, Not):
-            source = lower(expr.operand)
-            anc = fresh()
-            ops.extend(_block_ops("not", (source,), anc))
-            return anc
-        left = lower(expr.left)
-        right = lower(expr.right)
-        anc = fresh()
-        block = "and" if isinstance(expr, And) else "or"
-        ops.extend(_block_ops(block, (left, right), anc))
-        return anc
-
-    for rule in order:
-        conclusion_qubits[rule.conclusion] = lower(rule.premise)
-
-    goal_qubit = fact_qubits.get(rs.goal)
-    if goal_qubit is None:
-        goal_qubit = conclusion_qubits[rs.goal]
+    goal_qubit = qubit_of[rs.goal]
     circuit = Circuit(next_qubit, tuple(ops), measured_qubit=goal_qubit)
     plan = QubitPlan(fact_qubits, conclusion_qubits, next_qubit)
     return CompiledProgram(circuit, plan, rs.goal, goal_qubit)

@@ -5,8 +5,9 @@ base fact independently (weight sin^2 theta for true, cos^2 theta for
 false), evaluates the boolean network classically, and sums the weights of
 goal-true assignments. The goal's truth in each world depends on the rules
 alone, so ``oracle_rows`` evaluates each rule once over all worlds, as
-bit-planes with one bit per world, and weights the worlds for any number
-of disbelief rows. Because compiled circuits are basis permutations after
+bit-planes with one bit per world, while it reads the rule's premise in
+``ruledsl.premise_nodes`` order, and weights the worlds for any number of
+disbelief rows. Because compiled circuits are basis permutations after
 the preparation layer, the exact quantum marginal must agree with the
 oracle to floating-point accuracy; cross_validate asserts exactly that.
 """
@@ -24,7 +25,7 @@ from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from .compiler import BudgetError, CompiledProgram, compile_ruleset
-from .ruledsl import And, Expr, FactRef, Not, Rule, RuleSet, topo_order
+from .ruledsl import And, FactRef, Not, RuleSet, premise_nodes, topo_order
 from .statevec import check_seed, check_shots
 from .uncertainty import fact_amplitudes
 
@@ -169,47 +170,7 @@ def _binomialvariate(rng: random.Random | SimpleNamespace, n: int, p: float) -> 
             return k
 
 
-_AND, _OR, _NOT = range(3)
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _postfix(rs: RuleSet, order: list[Rule]) -> tuple[list[tuple], str | int]:
-    """The premises of ``order`` as one postfix program, and the goal's key.
-
-    Each connective is one instruction (op, out, a, b): it sets key ``out``,
-    a new int, from the values at keys ``a`` and ``b`` (``b`` is None for
-    "not"). A base fact's key is its name, and a conclusion's key is that of
-    its premise. Each premise is walked in post-order, left operand first,
-    with an explicit stack, so that one of any depth needs no recursion. In
-    a left-nested chain such as ``t1 or t2 or ...`` each "or" then follows
-    its right operand at once, and only a few values are live at a time.
-    """
-    key: dict[str, str | int] = {name: name for name in rs.base_facts}
-    code: list[tuple] = []
-    for rule in order:
-        operands: list[str | int] = []  # keys of the operands not yet used
-        stack: list[tuple[Expr, bool]] = [(rule.premise, False)]
-        while stack:
-            node, operands_done = stack.pop()
-            if isinstance(node, FactRef):
-                operands.append(key[node.name])
-            elif not operands_done:
-                stack.append((node, True))
-                if isinstance(node, Not):
-                    stack.append((node.operand, False))
-                else:
-                    stack += ((node.right, False), (node.left, False))
-            else:
-                if isinstance(node, Not):
-                    instruction = (_NOT, len(code), operands.pop(), None)
-                else:
-                    right, left = operands.pop(), operands.pop()
-                    op = _AND if isinstance(node, And) else _OR
-                    instruction = (op, len(code), left, right)
-                operands.append(len(code))
-                code.append(instruction)
-        key[rule.conclusion] = operands.pop()
-    return code, key[rs.goal]
 
 
 def oracle(rs: RuleSet) -> OracleResult:
@@ -230,7 +191,10 @@ def oracle_rows(rs: RuleSet, rows: Sequence[Sequence[float]]) -> list[OracleResu
     bits whose bit w is its value in world w, and each connective is one
     int operation over all worlds at once (and ``&``, or ``|``, not an
     exclusive or with the all-ones plane), so each rule costs a few big-int
-    operations, not a loop over worlds. A world's weight is the product, in
+    operations, not a loop over worlds. Each premise is read once, in
+    ``premise_nodes`` order, with a stack of operand planes; a fact's plane
+    is dropped after its last read, counted from the same node lists, so a
+    long program holds only its live planes. A world's weight is the product, in
     declaration order, of sin^2 theta for each true fact and cos^2 theta
     for each false one, worked out once per distinct disbelief of the call.
     The rows go in blocks of at most ``ORACLE_BLOCK_ENTRIES`` weights (one
@@ -262,7 +226,15 @@ def oracle_rows(rs: RuleSet, rows: Sequence[Sequence[float]]) -> list[OracleResu
     for delta in {delta for row in rows for delta in row}:
         p = fact_amplitudes(delta).p_true
         p_false_of[delta], p_true_of[delta] = 1.0 - p, p
-    code, goal = _postfix(rs, order)
+    premises = [premise_nodes(rule.premise) for rule in order]
+    # a plane is 2^k bits, so each is dropped after its last read: ``reads``
+    # counts the reads left of each fact, the goal's included
+    reads = dict.fromkeys([*names, *(rule.conclusion for rule in order)], 0)
+    reads[rs.goal] = 1
+    for nodes in premises:
+        for node in nodes:
+            if isinstance(node, FactRef):
+                reads[node.name] += 1
 
     # bit w of a plane is the value in world w, and fact i is bit i of the
     # world index: as with the weights below, each fact doubles the worlds,
@@ -274,25 +246,26 @@ def oracle_rows(rs: RuleSet, rows: Sequence[Sequence[float]]) -> list[OracleResu
         planes.append(((1 << n_worlds) - 1) << n_worlds)
         n_worlds <<= 1
     full = (1 << n_worlds) - 1
-    values: dict[str | int, int] = dict(zip(names, planes))
+    values = dict(zip(names, planes))  # each fact's plane, until its last read
     del planes
-    # a plane is 2^k bits, so each is dropped after its last read: a long
-    # program holds only its live planes, not one per instruction
-    last_read = {key: i for i, (_, _, a, b) in enumerate(code) for key in (a, b)}
-    last_read[goal] = len(code)
-    for i, (op, out, a, b) in enumerate(code):
-        if op == _AND:
-            values[out] = values[a] & values[b]
-        elif op == _OR:
-            values[out] = values[a] | values[b]
-        else:
-            values[out] = full ^ values[a]
-        for key in (a, b):  # b is None after "not", or a again in "x and x"
-            if last_read[key] == i:
-                values.pop(key, None)
+    for rule, nodes in zip(order, premises):
+        operands: list[int] = []  # planes of the operands not yet used
+        for node in nodes:
+            if isinstance(node, FactRef):
+                reads[node.name] -= 1
+                plane = values[node.name] if reads[node.name] else values.pop(node.name)
+            elif isinstance(node, Not):
+                plane = full ^ operands.pop()
+            elif isinstance(node, And):
+                plane = operands.pop() & operands.pop()
+            else:
+                plane = operands.pop() | operands.pop()
+            operands.append(plane)
+        if reads[rule.conclusion]:
+            values[rule.conclusion] = operands.pop()
     # byte w is 1 where the goal holds in world w: the plane's binary
     # digits, most significant first, reversed into world order
-    digits = format(values[goal], f"0{n_worlds}b")[::-1]
+    digits = format(values[rs.goal], f"0{n_worlds}b")[::-1]
     goal_true = digits.encode().translate(_DIGIT_BYTES)
 
     block_rows = max(1, ORACLE_BLOCK_ENTRIES >> len(names))
@@ -327,13 +300,15 @@ def _goal_weights(block: Sequence[Sequence[float]], p_false: Callable[[float], f
         doubled.extend(map(mul, trues, table))
         table = doubled
     view = memoryview(table)
+    # a left fold of 2^k weights may drift from 1 by about 2^k ulps
+    tolerance = max(1e-12, len(goal_true) * 2**-52)
     p_goals = []
     for r in range(n_rows):
         weights = view[r::n_rows]  # row r's, in world order
         # a left fold, as the per-world loop adds: sum() compensates its
         # rounding from Python 3.12 on
         total = reduce(add, weights, 0.0)
-        assert abs(total - 1.0) <= 1e-12, "assignment weights must sum to 1"
+        assert abs(total - 1.0) <= tolerance, "assignment weights must sum to 1"
         p_goals.append(reduce(add, compress(weights, goal_true), 0.0))
     return p_goals
 

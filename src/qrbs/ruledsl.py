@@ -42,6 +42,7 @@ from __future__ import annotations
 import itertools
 import re
 import string
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
@@ -54,9 +55,9 @@ KEYWORDS = frozenset(
 # Deepest stack of "not" and "(" one premise may open. The parser recurses
 # once per such level, so the cap keeps it inside Python's recursion limit.
 # It does not bound an "and"/"or" chain, whose left-deep tree is as deep as
-# the chain is long: premise_nodes and validate walk any depth, the compiler
-# rejects a premise past its qubit budget before it recurses, and to_source
-# and the oracle walk with explicit stacks.
+# the chain is long. Only the parser recurses: validate, the compiler, the
+# oracle and to_source all read premises through premise_nodes, which walks
+# any depth.
 MAX_NESTING = 100
 
 
@@ -125,20 +126,28 @@ class RuleSet:
         object.__setattr__(self, "rules", tuple(self.rules))
 
 
-def premise_nodes(expr: Expr) -> Iterator[Expr]:
-    """Every node of an expression in pre-order, left to right.
+def premise_nodes(expr: Expr) -> list[Expr]:
+    """Every node of an expression in post-order: each after its operands,
+    the left operand first.
 
-    Walks with an explicit stack: an "and"/"or" chain of any length parses
-    to a tree as deep as the chain is long.
+    This is the one walk of a premise. A reader of it keeps a stack of
+    operand values: a leaf pushes one, and a connective pops its operands
+    and pushes its own. The walk takes nodes before their operands, the
+    right operand first, and reverses the list. It uses an explicit stack,
+    since an "and"/"or" chain of any length parses to a tree as deep as the
+    chain is long.
     """
+    nodes: list[Expr] = []
     stack = [expr]
     while stack:
         node = stack.pop()
-        yield node
+        nodes.append(node)
         if isinstance(node, Not):
             stack.append(node.operand)
         elif not isinstance(node, FactRef):
-            stack += (node.right, node.left)
+            stack += (node.left, node.right)
+    nodes.reverse()
+    return nodes
 
 
 def premise_facts(expr: Expr) -> Iterator[str]:
@@ -505,36 +514,42 @@ def _fmt_delta(delta: float) -> str:
 def _expr_source(expr: Expr) -> str:
     """DSL text of a premise, parenthesised only where precedence needs it.
 
-    Walks with an explicit stack, as premise_nodes does: each node is
-    visited before its operands and finished after them, and ``done`` holds
-    the (text, precedence) of every finished operand.
+    ``done`` holds the text pieces and the precedence of each operand not
+    yet used. A connective joins its operands' pieces into the longer of
+    the two deques, so a premise of n nodes costs O(n log n), not the
+    O(n^2) of joining ever longer strings.
     """
     # precedence: or=1, and=2, not=3, atom=4
-    done: list[tuple[str, int]] = []
-    stack: list[tuple[Expr, bool]] = [(expr, False)]
-    while stack:
-        node, operands_done = stack.pop()
+    done: list[tuple[deque[str], int]] = []
+    for node in premise_nodes(expr):
         if isinstance(node, FactRef):
-            done.append((node.name, 4))
-        elif not operands_done:
-            stack.append((node, True))
-            if isinstance(node, Not):
-                stack.append((node.operand, False))
-            else:
-                stack += ((node.right, False), (node.left, False))
+            done.append((deque([node.name]), 4))
         elif isinstance(node, Not):
             inner, prec = done.pop()
-            done.append((f"not ({inner})" if prec < 3 else f"not {inner}", 3))
+            if prec < 3:
+                inner.appendleft("(")
+                inner.append(")")
+            inner.appendleft("not ")
+            done.append((inner, 3))
         else:
-            op, prec = ("and", 2) if isinstance(node, And) else ("or", 1)
-            (left, lp), (right, rp) = done[-2:]
-            del done[-2:]
+            op, prec = (" and ", 2) if isinstance(node, And) else (" or ", 1)
+            right, rp = done.pop()
+            left, lp = done.pop()
             if lp < prec:
-                left = f"({left})"
+                left.appendleft("(")
+                left.append(")")
             if rp <= prec:  # right operand needs parens even at equal precedence
-                right = f"({right})"
-            done.append((f"{left} {op} {right}", prec))
-    return done[0][0]
+                right.appendleft("(")
+                right.append(")")
+            if len(left) >= len(right):
+                left.append(op)
+                left.extend(right)
+            else:
+                right.appendleft(op)
+                right.extendleft(reversed(left))
+                left = right
+            done.append((left, prec))
+    return "".join(done[0][0])
 
 
 def to_source(rs: RuleSet) -> str:

@@ -210,6 +210,14 @@ def test_sampled_tables_reproduce_their_golden_files(argv, golden, tmp_path, mon
     assert out.read_bytes() == (Path(__file__).parent / "data" / golden).read_bytes()
 
 
+def test_compiled_demo_reproduces_its_golden_circuit(tmp_path):
+    # ancilla numbering and gate order are part of the text format
+    program = Path(__file__).parents[1] / "demos" / "programs" / "three_rules.qrbs"
+    out = tmp_path / "three_rules.circuit"
+    assert main(["compile", str(program), "--out", str(out)]) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / "three_rules.circuit").read_bytes()
+
+
 def _table8_row_by_row(shots, seed):
     """Table 8 rows as four separate calls per row would make them."""
     rows = []

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrbs.compiler import (
+    TRUE_BIT,
     BudgetError,
     circuit_from_text,
     circuit_to_text,
@@ -40,7 +41,7 @@ def test_demo_network_plan():
     assert set(cp.plan.conclusion_qubits) == {"X", "Y", "R"}
     assert cp.goal_qubit == cp.plan.conclusion_qubits["R"]
     assert cp.plan.n_qubits == cp.circuit.n_qubits == 9
-    assert cp.true_bit == 1
+    assert TRUE_BIT == 1
 
 
 def test_certain_and_rule_yields_certain_goal():

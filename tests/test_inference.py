@@ -392,6 +392,15 @@ def test_exact_marginal_on_23_facts_equals_its_closed_form():
     assert abs(compile_ruleset(rs).p_goal - expected) <= 1e-15
 
 
+@pytest.mark.parametrize("n_facts,delta", [(18, 70), (18, 90), (20, 95)])
+def test_oracle_weights_of_many_facts_may_drift_past_1e_12(n_facts, delta):
+    # a left fold of 2^18 or 2^20 weights drifts from 1 by up to about
+    # 2^k ulps, more than 1e-12 here; the goal's weight stays exact
+    rs = parse("\n".join([*(f"fact f{i} disbelief {delta}" for i in range(n_facts)),
+                          "rule R: if f0 and f1 then g", "goal g"]))
+    assert abs(oracle(rs).p_true - _p_true(delta) ** 2) <= 1e-12
+
+
 def test_goal_marginals_of_64_rows_hold_no_row_of_world_weights():
     # 64 rows of 2^20 float weights would be 512 MiB, and one row 8 MiB;
     # the mask of 2^20 bytes and each row's two 2^10-entry factors stay small

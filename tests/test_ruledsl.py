@@ -260,12 +260,48 @@ def test_to_source_round_trips_a_3000_term_and_rule():
     rs = RuleSet({f"a{i}": float(i) for i in range(7)}, (Rule("R", premise, "b"),), "b")
     back = parse(to_source(rs))
     # == on trees this deep would recurse past the limit: compare the
-    # pre-order node lists, which determine a tree
+    # post-order node lists, which determine a tree
     def shape(expr):
         return [(type(node), getattr(node, "name", None)) for node in premise_nodes(expr)]
 
     assert shape(back.rules[0].premise) == shape(premise)
     assert (back.base_facts, back.rules[0].name, back.goal) == (rs.base_facts, "R", "b")
+
+
+def _labels(expr):
+    """``premise_nodes`` of ``expr``: fact names, and connectives by keyword."""
+    return [node.name if isinstance(node, FactRef) else type(node).__name__.lower()
+            for node in premise_nodes(expr)]
+
+
+def test_premise_nodes_yield_each_node_after_its_operands_left_first():
+    rs = parse("fact a\nfact b\nfact c\nfact d\nfact x\n"
+               "rule r: if not a and (b or (c or d)) or x and x then g\ngoal g")
+    assert _labels(rs.rules[0].premise) == [
+        "a", "not", "b", "c", "d", "or", "or", "and", "x", "x", "and", "or"]
+
+
+def test_a_100000_term_left_nested_premise_is_walked_and_round_tripped():
+    premise = FactRef("f0")
+    for i in range(1, 100_000):
+        premise = Or(premise, FactRef(f"f{i % 7}"))
+    labels = _labels(premise)
+    assert labels[:5] == ["f0", "f1", "or", "f2", "or"] and len(labels) == 199_999
+    rs = RuleSet({f"f{i}": 0.0 for i in range(7)}, (Rule("R", premise, "g"),), "g")
+    assert _labels(parse(to_source(rs)).rules[0].premise) == labels
+
+
+def test_a_20000_level_right_nested_premise_is_walked_and_printed():
+    # built by hand: parse caps "not" and "(" at MAX_NESTING levels
+    premise = FactRef("a")
+    for _ in range(10_000):
+        premise = Not(And(FactRef("b"), premise))
+    assert _labels(premise) == ["b"] * 10_000 + ["a"] + ["and", "not"] * 10_000
+    rs = RuleSet({"a": 0.0, "b": 0.0}, (Rule("R", premise, "g"),), "g")
+    premise_text = "not (b and " * 10_000 + "a" + ")" * 10_000
+    assert to_source(rs) == f"fact a\nfact b\nrule R: if {premise_text} then g\ngoal g\n"
+    with pytest.raises(DslError, match=f"nested deeper than {MAX_NESTING} levels"):
+        parse(to_source(rs))
 
 
 @pytest.mark.parametrize("number", ["1e400", "1e2", "1.5.3", "2.", "50fact"])
