@@ -37,6 +37,9 @@ from .uncertainty import (
 
 DEFAULT_SHOTS = 8192
 DEFAULT_SEED = 0
+# largest gap between the oracle and the reference value of a Table 8 row
+# that is flagged MATCH
+DIVERGENCE_THRESHOLD = 0.02
 
 
 def _fmt(value: float) -> str:
@@ -155,8 +158,7 @@ def table7_rows(shots: int, seed: int) -> list[list[str]]:
     return rows
 
 
-def table8_rows(shots: int, seed: int,
-                divergence_threshold: float = 0.02) -> list[list[str]]:
+def table8_rows(shots: int, seed: int) -> list[list[str]]:
     """Table 8: the demonstration network at each of its 28 disbelief rows.
 
     The network's structure is fixed, so it is compiled once and enumerated
@@ -166,7 +168,8 @@ def table8_rows(shots: int, seed: int,
     shots column ``shots_rows`` on the exact values, which seeds one
     generator and replays its uniforms for each row. Every value equals
     what a per-row oracle, compile, ``infer_exact`` and ``infer_shots``
-    would give.
+    would give. A row is flagged MATCH when its oracle value is within
+    DIVERGENCE_THRESHOLD of the reference value, and DIVERGES otherwise.
     """
     rs = demo_ruleset()
     cp = compile_ruleset(rs)
@@ -177,7 +180,7 @@ def table8_rows(shots: int, seed: int,
     rows = []
     for (row, printed), truth, exact, shot in zip(TABLE8, truths, exacts, sampled):
         deviation = abs(truth.p_true - printed)
-        flag = "MATCH" if deviation <= divergence_threshold else "DIVERGES"
+        flag = "MATCH" if deviation <= DIVERGENCE_THRESHOLD else "DIVERGES"
         rows.append([
             *[str(d) for d in row],
             _fmt(truth.p_true),
@@ -221,30 +224,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         result = infer_shots(cp, args.shots, args.seed)
 
-    if args.format == "human":
-        line = (f"{result.goal} p_true={result.p_true:.6f} "
-                f"p_false={result.p_false:.6f} method={result.method}")
-        if result.method == "shots":
-            line += f" shots={result.shots} seed={result.seed}"
-        print(line)
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["goal", "p_true", "p_false", "method", "shots", "seed"])
-        writer.writerow([
-            result.goal, f"{result.p_true:.6f}", f"{result.p_false:.6f}",
-            result.method,
-            "" if result.shots is None else str(result.shots),
-            "" if result.seed is None else str(result.seed),
-        ])
-    else:  # jsonl
-        print(json.dumps({
-            "goal": result.goal,
-            "p_true": result.p_true,
-            "p_false": result.p_false,
-            "method": result.method,
-            "shots": result.shots,
-            "seed": result.seed,
-        }, sort_keys=True))
+    record = vars(result)  # the result's fields, in declaration order
+    if args.format == "jsonl":
+        print(json.dumps(record, sort_keys=True))
+        return 0
+    shown = {**record, "p_true": f"{result.p_true:.6f}",
+             "p_false": f"{result.p_false:.6f}"}
+    if args.format == "csv":
+        # csv writes None as ""
+        csv.writer(sys.stdout, lineterminator="\n").writerows(
+            [shown.keys(), shown.values()])
+    else:  # human
+        goal = shown.pop("goal")
+        print(goal, *(f"{key}={value}" for key, value in shown.items()
+                      if value is not None))
     return 0
 
 
@@ -262,32 +255,29 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-_TABLE_HEADERS = {
-    4: ["DELTA (Subjective Disbelief)", "ALPHA (Degrees)", "ALPHA (Radians)",
-        "THETA (Radians)"],
-    5: ["ALPHA", "THETA", "Mod 0", "Mod 1", "Prob (0)", "Prob (1)",
-        "ProbTotal"],
-    6: ["Subjective Disbelief", "Subjective Credibility",
-        "Subjective Classification", "THETA", "Ket 0", "Ket 1",
-        "Prob (True)", "Prob (False)", "Total Probability"],
-    7: ["DELTA", "Prob (True)", "Prob (False)", "Total Probability",
-        "Amplitude (Ket 0)", "Amplitude (Ket 1)", "Prob (True) shots",
-        "Prob (False) shots"],
+# each reference table's CSV header and rows function; only table 7 samples
+_TABLES = {
+    4: (["DELTA (Subjective Disbelief)", "ALPHA (Degrees)", "ALPHA (Radians)",
+         "THETA (Radians)"], table4_rows),
+    5: (["ALPHA", "THETA", "Mod 0", "Mod 1", "Prob (0)", "Prob (1)",
+         "ProbTotal"], table5_rows),
+    6: (["Subjective Disbelief", "Subjective Credibility",
+         "Subjective Classification", "THETA", "Ket 0", "Ket 1",
+         "Prob (True)", "Prob (False)", "Total Probability"], table6_rows),
+    7: (["DELTA", "Prob (True)", "Prob (False)", "Total Probability",
+         "Amplitude (Ket 0)", "Amplitude (Ket 1)", "Prob (True) shots",
+         "Prob (False) shots"], table7_rows),
 }
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    which = args.which
-    if which == 4:
-        rows, comment = table4_rows(), None
-    elif which == 5:
-        rows, comment = table5_rows(), None
-    elif which == 6:
-        rows, comment = table6_rows(), None
-    else:
-        rows = table7_rows(args.shots, args.seed)
+    header, rows_of = _TABLES[args.which]
+    if rows_of is table7_rows:
+        rows = rows_of(args.shots, args.seed)
         comment = f"shots={args.shots} seed={args.seed}"
-    _write_csv(args.out, _TABLE_HEADERS[which], rows, comment)
+    else:
+        rows, comment = rows_of(), None
+    _write_csv(args.out, header, rows, comment)
     suffix = f" ({comment})" if comment else ""
     print(f"wrote {args.out}{suffix}")
     return 0
@@ -298,7 +288,8 @@ def cmd_table8(args: argparse.Namespace) -> int:
               "Prob (True) oracle", "Prob (True) exact", "Prob (True) shots",
               "Prob (True) reference", "Deviation", "Flag"]
     rows = table8_rows(args.shots, args.seed)
-    comment = f"shots={args.shots} seed={args.seed} divergence_threshold=0.02"
+    comment = (f"shots={args.shots} seed={args.seed} "
+               f"divergence_threshold={DIVERGENCE_THRESHOLD}")
     _write_csv(args.out, header, rows, comment)
     diverging = sum(1 for row in rows if row[-1] == "DIVERGES")
     print(f"wrote {args.out} ({comment}); "
@@ -352,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.set_defaults(func=cmd_compile)
 
     p_tab = sub.add_parser("tables", help="regenerate a reference table as CSV")
-    p_tab.add_argument("which", type=int, choices=(4, 5, 6, 7))
+    p_tab.add_argument("which", type=int, choices=sorted(_TABLES))
     p_tab.add_argument("--out", required=True)
     add_sampling(p_tab)
     p_tab.set_defaults(func=cmd_tables)

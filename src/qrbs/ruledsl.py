@@ -32,9 +32,10 @@ unreachable goal. ``parse`` reports the first of those problems at the
 source position of the token it concerns, and otherwise keeps the firing
 order its check found on the RuleSet, for ``topo_order``.
 
-The lexer keeps token texts and kinds only. A token's line and column are
-worked out from its index when a DslError is raised, by rescanning the
-source, so a program that parses pays nothing for positions.
+The lexer drops comments, then reads tokens with one pattern, and keeps
+their texts and kinds only. A token's line and column are worked out from
+its index when a DslError is raised, by reading the tokens again with the
+same pattern, so a program that parses pays nothing for positions.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ import string
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Union
-
-import numpy as np
 
 KEYWORDS = frozenset(
     {"fact", "rule", "goal", "if", "then", "and", "or", "not", "disbelief"}
@@ -167,9 +166,6 @@ _COMMENT = re.compile(r"#[^\n]*")
 # what _lex finds once comments are gone: a word, or any other non-blank
 # character alone
 _LEXEME = re.compile(_WORD + r"|[^ \t\r\n]")
-# _LEXEME's tokens in the same order, plus each comment and newline, which
-# _position needs to count lines and columns
-_TOKEN = re.compile(_WORD + "|" + _COMMENT.pattern + r"|[^ \t\r]")
 _NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 # token kind by text, over every spelling of each keyword, then by first
@@ -205,23 +201,16 @@ def _lex(source: str) -> tuple[list[str], list[str]]:
 def _position(source: str, index: int) -> tuple[int, int]:
     """1-based (line, column) of token ``index`` of ``_lex(source)``.
 
-    The index one past the last token is the end of input. A comment moves
-    its line's first column past itself, so that the end of input after a
-    trailing comment is placed at its "#"; carriage returns and tabs are
-    blanks of one column.
+    The index one past the last token is the end of input. The tokens are
+    found again as _lex finds them, on the source without its comments. A
+    comment runs to the end of its line, so removing it moves no token, and
+    the end of input after a trailing comment is placed at its "#".
+    Carriage returns and tabs are blanks of one column.
     """
-    line, line_start = 1, 0  # line_start: offset of the line's first column
-    for match in _TOKEN.finditer(source):
-        ch = match.group()[0]
-        if ch == "\n":
-            line, line_start = line + 1, match.end()
-        elif ch == "#":
-            line_start += match.end() - match.start()
-        elif index == 0:
-            return line, match.start() - line_start + 1
-        else:
-            index -= 1
-    return line, len(source) - line_start + 1
+    text = _COMMENT.sub("", source)
+    match = next(itertools.islice(_LEXEME.finditer(text), index, None), None)
+    start = len(text) if match is None else match.start()
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +495,13 @@ def topo_order(rs: RuleSet) -> list[Rule]:
 
 
 def _fmt_delta(delta: float) -> str:
+    """Shortest positional text of a disbelief that reads back as ``delta``."""
     if delta == int(delta):
         return str(int(delta))
-    return np.format_float_positional(delta, trim="-")
+    # imported here: only to_source needs it, and not at every start
+    from decimal import Decimal
+
+    return format(Decimal(repr(delta)), "f")
 
 
 def _expr_source(expr: Expr) -> str:

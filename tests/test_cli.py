@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import random
@@ -216,6 +217,34 @@ def test_compiled_demo_reproduces_its_golden_circuit(tmp_path):
     out = tmp_path / "three_rules.circuit"
     assert main(["compile", str(program), "--out", str(out)]) == 0
     assert out.read_bytes() == (Path(__file__).parent / "data" / "three_rules.circuit").read_bytes()
+
+
+DEMO_PROGRAM = Path(__file__).parents[1] / "demos" / "programs" / "three_rules.qrbs"
+RUN_MODES = {"exact": ["--mode", "exact"], "shots": ["--mode", "shots", "--seed", "7"]}
+
+
+def test_run_reproduces_its_golden_output(capsys):
+    # human, then csv, each in exact and in shots mode
+    for fmt in ("human", "csv"):
+        for mode in RUN_MODES.values():
+            assert main(["run", str(DEMO_PROGRAM), "--format", fmt, *mode]) == 0
+    golden = (Path(__file__).parent / "data" / "three_rules_run.txt").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == golden
+
+
+@pytest.mark.parametrize("mode", list(RUN_MODES))
+def test_run_jsonl_holds_the_result_fields_in_sorted_order(mode, capsys):
+    assert main(["run", str(DEMO_PROGRAM), "--format", "jsonl", *RUN_MODES[mode]]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert list(record) == ["goal", "method", "p_false", "p_true", "seed", "shots"]
+    cp = compile_ruleset(parse(DEMO_PROGRAM.read_text(encoding="utf-8")))
+    result = infer_exact(cp) if mode == "exact" else infer_shots(cp, cli.DEFAULT_SHOTS, 7)
+    assert record == dataclasses.asdict(result)
+
+
+def test_demo_program_is_the_table8_network():
+    # table8 runs demo_ruleset(); the README and the golden circuit use the file
+    assert parse(DEMO_PROGRAM.read_text(encoding="utf-8")) == demo_ruleset()
 
 
 def _table8_row_by_row(shots, seed):

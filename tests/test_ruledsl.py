@@ -1,5 +1,8 @@
 import re
 import string
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -238,6 +241,44 @@ def test_to_source_preserves_tricky_shapes():
     for src in sources:
         rs = parse(src)
         assert parse(to_source(rs)) == rs
+
+
+@pytest.mark.parametrize("delta,text", [
+    (50.0, "50"),
+    (12.5, "12.5"),
+    (33.333333333333336, "33.333333333333336"),
+    (1e-05, "0.00001"),
+    (5e-324, "0." + "0" * 323 + "5"),
+])
+def test_to_source_writes_a_disbelief_as_its_shortest_positional_text(delta, text):
+    rs = RuleSet({"a": delta}, (), "a")
+    assert to_source(rs) == f"fact a disbelief {text}\ngoal a\n"
+    assert parse(to_source(rs)) == rs
+
+
+def test_ruledsl_parses_and_prints_without_numpy():
+    # the module has no package-relative imports, so it loads from its file alone
+    script = """
+import importlib.util
+import sys
+sys.modules["numpy"] = None  # so that importing numpy raises ImportError
+path, program = sys.argv[1:]
+spec = importlib.util.spec_from_file_location("ruledsl", path)
+ruledsl = importlib.util.module_from_spec(spec)
+sys.modules["ruledsl"] = ruledsl
+spec.loader.exec_module(ruledsl)
+with open(program, encoding="utf-8") as f:
+    print(ruledsl.to_source(ruledsl.parse(f.read())), end="")
+print(ruledsl.to_source(ruledsl.RuleSet({"a": 12.5}, (), "a")), end="")
+"""
+    root = Path(__file__).resolve().parents[1]
+    program = root / "demos" / "programs" / "three_rules.qrbs"
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(root / "src" / "qrbs" / "ruledsl.py"),
+         str(program)], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (to_source(parse(program.read_text(encoding="utf-8")))
+                             + "fact a disbelief 12.5\ngoal a\n")
 
 
 def test_random_rulesets_validate_and_order():
