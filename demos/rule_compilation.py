@@ -7,8 +7,8 @@ circuit text, and exercises the reversible AND/OR blocks on their own.
 from pathlib import Path
 
 from qrbs.compiler import (
+    circuit_to_text,
     compile_ruleset,
-    export_circuit,
     rq_gate_demo,
     truth_table_check,
 )
@@ -26,7 +26,7 @@ print("  conclusions:", cp.plan.conclusion_qubits)
 print(f"  goal qubit : q{cp.goal_qubit} (bit 1 = TRUE)")
 
 print("\ncircuit text:")
-print(export_circuit(cp))
+print(circuit_to_text(cp.circuit))
 
 print("reversible blocks check out against the boolean operators:")
 for block in ("and", "or", "not"):

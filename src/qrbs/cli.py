@@ -25,7 +25,7 @@ import os
 import sys
 from pathlib import Path
 
-from .compiler import BudgetError, compile_ruleset, export_circuit, rq_gate_demo
+from .compiler import BudgetError, circuit_to_text, compile_ruleset, rq_gate_demo
 from .inference import infer_exact, infer_shots, oracle_rows, shots_rows
 from .reference import TABLE8, demo_ruleset
 from .ruledsl import DslError, RuleSet, parse
@@ -250,7 +250,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     rs = _load_ruleset(args.input)
-    _write_out(args.out, export_circuit(compile_ruleset(rs)))
+    _write_out(args.out, circuit_to_text(compile_ruleset(rs).circuit))
     print(f"wrote {args.out}")
     return 0
 

@@ -36,7 +36,7 @@ from .statevec import (
     _draw_counts,
     circuit_planes,
     plane_marginals,
-    worlds,
+    world_weights,
 )
 from .uncertainty import delta_to_alpha
 
@@ -195,7 +195,7 @@ def truth_table_check(block: str) -> dict[tuple[int, ...], int]:
     """Exhaustive basis-input truth table of one connective block.
 
     Inputs are prepared as basis states with X gates and the ancilla starts
-    at |0>. The circuit has no M layer, so ``statevec.worlds`` simulates it
+    at |0>. The circuit has no M layer, so ``circuit_planes`` simulates it
     as one world, and the returned map reads bit 0 of the ancilla's plane.
     """
     arity = 1 if block == "not" else 2
@@ -206,8 +206,7 @@ def truth_table_check(block: str) -> dict[tuple[int, ...], int]:
         ops = [CircuitOp(X, q) for q in range(arity) if bits[q]]
         ops += _block_ops(block, tuple(range(arity)), out_qubit)
         circuit = Circuit(arity + 1, tuple(ops), measured_qubit=out_qubit)
-        _, planes = worlds(circuit)
-        table[bits] = planes[out_qubit] & 1
+        table[bits] = circuit_planes(circuit)[out_qubit] & 1
     return table
 
 
@@ -228,19 +227,22 @@ def rq_gate_demo(
     Both inputs are prepared at the given disbelief values (50 gives the
     even superposition), the block writes its ancilla, and the full
     register is measured. The register's four possible outcomes are the
-    four worlds of the two inputs (``statevec.worlds``). With shots=None the
-    percentages are the exact world weights; otherwise they come from
-    seeded sampling of those weights, which picks the same outcomes as
-    sampling the dense register. Rows are returned for all four input
-    combinations in order 00, 01, 10, 11; the output bit per row is the
-    ancilla's plane in that world, the block's deterministic truth value.
+    four worlds of the two inputs: ``world_weights`` of the two M angles
+    weights them, and ``circuit_planes`` gives the ancilla's bit in each.
+    With shots=None the percentages are the exact world weights; otherwise
+    they come from seeded sampling of those weights, which picks the same
+    outcomes as sampling the dense register. Rows are returned for all four
+    input combinations in order 00, 01, 10, 11; the output bit per row is
+    the ancilla's plane in that world, the block's deterministic truth
+    value.
     """
     if block not in ("and", "or"):
         raise ValueError(f"demo supports 'and' and 'or', not {block!r}")
-    ops = [CircuitOp(M(fact_theta(d)), q) for q, d in enumerate(deltas)]
+    thetas = [fact_theta(d) for d in deltas]
+    ops = [CircuitOp(M(theta), q) for q, theta in enumerate(thetas)]
     ops += _block_ops(block, (0, 1), 2)
-    circuit = Circuit(3, tuple(ops), measured_qubit=2)
-    weights, planes = worlds(circuit)
+    planes = circuit_planes(Circuit(3, tuple(ops), measured_qubit=2))
+    weights = world_weights(thetas)
     if shots is None:
         percents = weights * 100.0
     else:
@@ -278,10 +280,6 @@ def circuit_to_text(circuit: Circuit) -> str:
             )
     lines.append(f"measure q{circuit.measured_qubit}")
     return "\n".join(lines) + "\n"
-
-
-def export_circuit(cp: CompiledProgram) -> str:
-    return circuit_to_text(cp.circuit)
 
 
 _LINE_PATTERNS = (

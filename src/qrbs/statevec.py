@@ -2,16 +2,16 @@
 
 Two simulators share one circuit type.
 
-* ``worlds`` simulates the circuits qrbs builds: uncontrolled M gates on
-  fresh qubits, then only X with 0-2 controls. The M layer leaves one basis
-  state per world of its k qubits, and every later gate permutes basis
-  states (Bennett 1973), so the state is a weight per world plus, for each
-  qubit, a plane of 2^k bits held in one Python int, one bit per world.
-  It is two steps: ``world_weights`` turns the k M angles into the 2^k
-  weights, and ``circuit_planes`` turns the circuit into the planes. The
-  planes do not depend on the M angles, so a program compiled once can be
-  weighted for many rows of angles. ``truth_table_check`` and
-  ``rq_gate_demo`` use ``worlds``; cost and memory grow with 2^k, not 2^n.
+* ``circuit_planes`` and ``world_weights`` simulate the circuits qrbs
+  builds: uncontrolled M gates on fresh qubits, then only X with 0-2
+  controls. The M layer leaves one basis state per world of its k qubits,
+  and every later gate permutes basis states (Bennett 1973), so the state
+  is a weight per world plus, for each qubit, a plane of 2^k bits held in
+  one Python int, one bit per world. ``world_weights`` turns the k M angles
+  into the 2^k weights, and ``circuit_planes`` turns the circuit into the
+  planes. The planes do not depend on the M angles, so a program compiled
+  once can be weighted for many rows of angles. ``truth_table_check`` and
+  ``rq_gate_demo`` use them; cost and memory grow with 2^k, not 2^n.
 * ``plane_marginals`` gives a compiled program's exact goal marginal: the
   weight of the worlds where one plane reads 1, for many rows of M angles
   at once. The weights are a Kronecker product of one factor pair per M
@@ -47,10 +47,9 @@ Circuits are capped at 24 qubits.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,41 +67,44 @@ class BudgetError(RuntimeError):
     """The program needs more qubits, assignments or shots than supported."""
 
 
-@dataclass(frozen=True)
-class CircuitOp:
-    """One gate application: ``gate`` on ``target``, gated by 0-2 controls."""
+class CircuitOp(NamedTuple):
+    """One gate application: ``gate`` on ``target``, gated by 0-2 controls.
+
+    A plain record: the ``Circuit`` that holds it checks it.
+    """
 
     gate: Gate
     target: int
     controls: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "controls", tuple(self.controls))
-        if len(self.controls) > 2:
-            raise ValueError("at most two controls are supported")
-        if len(set(self.controls)) != len(self.controls):
-            raise ValueError("duplicate control qubit")
-        if self.target in self.controls:
-            raise ValueError("target qubit cannot also be a control")
-
-    def qubits(self) -> tuple[int, ...]:
-        return (self.target, *self.controls)
-
 
 @dataclass(frozen=True)
 class Circuit:
+    """``ops`` on ``n_qubits`` qubits, read out on ``measured_qubit``.
+
+    Every op is checked here, once: at most two controls, none repeated,
+    the target not among them, and every qubit in range.
+    """
+
     n_qubits: int
     ops: tuple[CircuitOp, ...]
     measured_qubit: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
+        n = self.n_qubits
+        if not 1 <= n <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}]")
-        for op in self.ops:
-            for q in op.qubits():
-                _check_qubit(q, self.n_qubits)
-        _check_qubit(self.measured_qubit, self.n_qubits)
+        for _, target, controls in self.ops:
+            if len(controls) > 2:
+                raise ValueError("at most two controls are supported")
+            if len(set(controls)) != len(controls):
+                raise ValueError("duplicate control qubit")
+            if target in controls:
+                raise ValueError("target qubit cannot also be a control")
+            for q in (target, *controls):
+                _check_qubit(q, n)
+        _check_qubit(self.measured_qubit, n)
 
 
 @dataclass
@@ -230,8 +232,8 @@ def world_weights(thetas: Sequence[float]) -> np.ndarray:
     """Probability of each world of k qubits prepared by M(thetas[i]) on |0>.
 
     ``weights[w]`` (float64, 2^k) is the product over i of cos^2(thetas[i])
-    if bit i of w is 1, else sin^2(thetas[i]). This is the M layer's half
-    of ``worlds``: it depends on the angles alone.
+    if bit i of w is 1, else sin^2(thetas[i]). It depends on the angles
+    alone; ``circuit_planes`` gives the planes that go with them.
     """
     n_worlds = 1 << len(thetas)
     weights = np.empty(n_worlds)
@@ -250,6 +252,7 @@ def circuit_planes(circuit: Circuit) -> list[int]:
 
     The circuit must open with uncontrolled M gates on distinct qubits and
     then apply only X with 0-2 controls; any other op raises ValueError.
+    The ops after the M layer are checked as they are applied, in one pass.
     With k M gates, ``planes[q]`` is an int whose bit w is qubit q's bit in
     world w's final basis state, so a plane takes 2^k / 8 bytes; bit i of w
     is the value of the i-th M gate's qubit. X is ``t ^= full`` (all 2^k
@@ -267,13 +270,6 @@ def circuit_planes(circuit: Circuit) -> list[int]:
             raise ValueError(f"op {i}: M on q{op.target}, which is already prepared")
         prepared.append(op.target)
     k = len(prepared)
-    for i, op in enumerate(ops[k:], start=k):
-        if op.gate.name != "X":
-            raise ValueError(
-                f"op {i}: {op.gate!r} on q{op.target} after the M layer; "
-                "only X, CN and CCN may follow it"
-            )
-
     n_worlds = 1 << k
     planes = [0] * circuit.n_qubits
     for i, q in enumerate(prepared):
@@ -287,27 +283,20 @@ def circuit_planes(circuit: Circuit) -> list[int]:
             period *= 2
         planes[q] = plane
     full = (1 << n_worlds) - 1
-    for op in ops[k:]:
-        if not op.controls:
-            planes[op.target] ^= full
-        elif len(op.controls) == 1:
-            planes[op.target] ^= planes[op.controls[0]]
+    for i, (gate, target, controls) in enumerate(ops[k:], start=k):
+        if gate.name != "X":
+            raise ValueError(
+                f"op {i}: {gate!r} on q{target} after the M layer; "
+                "only X, CN and CCN may follow it"
+            )
+        if not controls:
+            planes[target] ^= full
+        elif len(controls) == 1:
+            planes[target] ^= planes[controls[0]]
         else:
-            a, b = op.controls
-            planes[op.target] ^= planes[a] & planes[b]
+            a, b = controls
+            planes[target] ^= planes[a] & planes[b]
     return planes
-
-
-def worlds(circuit: Circuit) -> tuple[np.ndarray, list[int]]:
-    """World weights and qubit bit-planes of an M-then-permutation circuit.
-
-    ``circuit_planes`` gives the planes and checks the circuit's shape;
-    ``world_weights`` of the M layer's angles gives the weights, so
-    ``weights[w]`` is the probability of world w.
-    """
-    planes = circuit_planes(circuit)
-    m_layer = itertools.takewhile(lambda op: op.gate.name == "M", circuit.ops)
-    return world_weights([op.gate.theta for op in m_layer]), planes
 
 
 @functools.cache

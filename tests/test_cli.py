@@ -198,6 +198,8 @@ def test_table8_flags_match_golden(tmp_path):
 @pytest.mark.parametrize("argv,golden", [
     (["table8", "--seed", "7"], "table8_seed7.csv"),
     (["tables", "7", "--seed", "7"], "tables7_seed7.csv"),
+    (["gatedemo", "and", "--seed", "7"], "gatedemo_and_seed7.csv"),
+    (["gatedemo", "or", "--seed", "7"], "gatedemo_or_seed7.csv"),
 ])
 def test_sampled_tables_reproduce_their_golden_files(argv, golden, tmp_path, monkeypatch):
     def unavailable(self, *args):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from qrbs.compiler import (
     circuit_from_text,
     circuit_to_text,
     compile_ruleset,
-    export_circuit,
     rq_gate_demo,
     truth_table_check,
 )
@@ -169,11 +169,11 @@ def test_rq_demo_rejects_unknown_block():
 
 def test_export_single_fact_program():
     cp = compile_ruleset(RuleSet({"F": 50.0}, (), "F"))
-    assert export_circuit(cp) == "qubits 1\nM(theta=0.785398) q0\nmeasure q0\n"
+    assert circuit_to_text(cp.circuit) == "qubits 1\nM(theta=0.785398) q0\nmeasure q0\n"
 
 
 def test_export_demo_network_counts():
-    text = export_circuit(compile_ruleset(demo_ruleset()))
+    text = circuit_to_text(compile_ruleset(demo_ruleset()).circuit)
     lines = text.splitlines()
     assert lines[0] == "qubits 9"
     assert sum(1 for line in lines if line.startswith("M(")) == 5
@@ -182,7 +182,7 @@ def test_export_demo_network_counts():
 
 
 def test_circuit_text_round_trip_is_byte_identical():
-    original = export_circuit(compile_ruleset(demo_ruleset()))
+    original = circuit_to_text(compile_ruleset(demo_ruleset()).circuit)
     assert circuit_to_text(circuit_from_text(original)) == original
 
 
@@ -220,16 +220,24 @@ def test_circuit_from_text_accepts_comments_and_blanks():
     assert circuit.measured_qubit == 1
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "qubits 1\nY q0\nmeasure q0\n",  # unknown gate line
-        "X q0\nmeasure q0\n",  # missing qubits
-        "qubits 1\nX q0\n",  # missing measure
-    ],
-)
-def test_circuit_from_text_rejects_malformed(text):
-    with pytest.raises(ValueError):
+_MALFORMED_CIRCUITS = [
+    ("qubits 1\nY q0\nmeasure q0\n", "line 2: cannot parse 'Y q0'"),
+    ("X q0\nmeasure q0\n", "missing qubits line"),
+    ("qubits 1\nX q0\n", "missing measure line"),
+    # the ops read from text meet the same checks as any Circuit's
+    ("qubits 2\nCN q0 -> q0\nmeasure q0\n", "target qubit cannot also be a control"),
+    ("qubits 2\nCCN q1 q1 -> q0\nmeasure q0\n", "duplicate control qubit"),
+    ("qubits 2\nX q2\nmeasure q0\n", "qubit index 2 out of range for 2 qubits"),
+    ("qubits 2\nX q0\nmeasure q2\n", "qubit index 2 out of range for 2 qubits"),
+    ("qubits 0\nmeasure q0\n", "n_qubits must be in [1, 24]"),
+    ("qubits 25\nmeasure q0\n", "n_qubits must be in [1, 24]"),
+]
+
+
+@pytest.mark.parametrize("text,message", _MALFORMED_CIRCUITS,
+                         ids=[text for text, _ in _MALFORMED_CIRCUITS])
+def test_circuit_from_text_rejects_malformed(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         circuit_from_text(text)
 
 

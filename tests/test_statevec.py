@@ -18,12 +18,13 @@ from qrbs.statevec import (
     CircuitOp,
     StateVector,
     apply,
+    circuit_planes,
     init_zero,
     marginal_prob_one,
     plane_marginals,
     run,
     sample,
-    worlds,
+    world_weights,
 )
 
 SQRT2_INV = 1 / math.sqrt(2.0)
@@ -67,12 +68,13 @@ def test_control_does_not_fire_on_zero():
 
 
 def test_op_validation():
-    with pytest.raises(ValueError):
-        CircuitOp(X, 0, controls=(0,))
-    with pytest.raises(ValueError):
-        CircuitOp(X, 0, controls=(1, 1))
-    with pytest.raises(ValueError):
-        CircuitOp(X, 0, controls=(1, 2, 3))
+    # an op is a plain record: the Circuit that holds it checks it
+    with pytest.raises(ValueError, match="target qubit cannot also be a control"):
+        Circuit(4, (CircuitOp(X, 0, controls=(0,)),), measured_qubit=0)
+    with pytest.raises(ValueError, match="duplicate control qubit"):
+        Circuit(4, (CircuitOp(X, 0, controls=(1, 1)),), measured_qubit=0)
+    with pytest.raises(ValueError, match="at most two controls are supported"):
+        Circuit(4, (CircuitOp(X, 0, controls=(1, 2, 3)),), measured_qubit=0)
     with pytest.raises(ValueError):
         apply(init_zero(1), CircuitOp(X, 1))
 
@@ -282,21 +284,22 @@ def _bits(plane, n_worlds):
 
 def test_worlds_of_one_prepared_qubit():
     theta = 0.3
-    weights, planes = worlds(Circuit(2, (CircuitOp(M(theta), 1),), measured_qubit=1))
+    planes = circuit_planes(Circuit(2, (CircuitOp(M(theta), 1),), measured_qubit=1))
+    weights = world_weights([theta])
     assert weights == pytest.approx([math.sin(theta) ** 2, math.cos(theta) ** 2])
     assert [_bits(plane, 2) for plane in planes] == [[False, False], [False, True]]
 
 
 def test_worlds_without_m_layer_is_one_basis_state():
     ops = (CircuitOp(X, 0), CircuitOp(X, 2, controls=(0,)), CircuitOp(X, 1, controls=(0, 2)))
-    weights, planes = worlds(Circuit(3, ops, measured_qubit=1))
-    assert weights.tolist() == [1.0]
+    planes = circuit_planes(Circuit(3, ops, measured_qubit=1))
+    assert world_weights([]).tolist() == [1.0]
     assert [_bits(plane, 1)[0] for plane in planes] == [True, True, True]
 
 
 def _bool_planes(circuit):
     """Qubit planes as a bool matrix (n_qubits x 2^k), one byte per bit: the
-    layout ``worlds`` used before it packed a plane into an int."""
+    layout the plane simulator used before it packed a plane into an int."""
     prepared = [op.target for op in circuit.ops if op.gate.name == "M"]
     index = np.arange(1 << len(prepared))
     planes = np.zeros((circuit.n_qubits, index.size), dtype=bool)
@@ -319,12 +322,13 @@ def _m_angles(circuit):
 
 
 def _assert_worlds_match_dense(circuit):
-    weights, planes = worlds(circuit)
+    thetas = _m_angles(circuit)
+    planes = circuit_planes(circuit)
+    weights = world_weights(thetas)
     state = run(circuit, init_zero(circuit.n_qubits))
     reference = _bool_planes(circuit)
-    thetas = np.array([_m_angles(circuit)])
     for q in range(circuit.n_qubits):
-        (p,) = plane_marginals(planes[q], thetas)
+        (p,) = plane_marginals(planes[q], np.array([thetas]))
         assert abs(p - marginal_prob_one(state, q)) <= 1e-12
         # the packed plane holds the same bits, and its marginal is the
         # weight of the worlds they mark
@@ -381,9 +385,11 @@ def test_plane_marginals_of_many_rows_equal_one_row_calls():
         ((CircuitOp(M(0.4), 0), CircuitOp(M(0.5), 0)), "op 1: M on q0, which is already"),
         ((CircuitOp(M(0.4), 0), CircuitOp(X, 1), CircuitOp(M(0.5), 2)),
          "op 2: M(0.500000) on q2 after the M layer"),
+        ((CircuitOp(M(0.4), 0), CircuitOp(X, 1), CircuitOp(X, 2, controls=(0,)),
+          CircuitOp(H, 1)), "op 3: H on q1 after the M layer"),
     ],
-    ids=["h-after-m", "controlled-m", "m-twice", "m-after-x"],
+    ids=["h-after-m", "controlled-m", "m-twice", "m-after-x", "h-after-x-and-cn"],
 )
 def test_worlds_rejects_other_circuits(ops, offender):
     with pytest.raises(ValueError, match=re.escape(offender)):
-        worlds(Circuit(3, ops, measured_qubit=0))
+        circuit_planes(Circuit(3, ops, measured_qubit=0))
