@@ -7,15 +7,18 @@ goal-true assignments. The goal's truth in each world depends on the rules
 alone, so ``oracle_rows`` evaluates each rule once over all worlds, as
 bit-planes with one bit per world, while it reads the rule's premise in
 ``ruledsl.premise_nodes`` order, and weights the worlds for any number of
-disbelief rows. Because compiled circuits are basis permutations after
-the preparation layer, the exact quantum marginal must agree with the
-oracle to floating-point accuracy; cross_validate asserts exactly that.
+disbelief rows. The weights are prefix products over the facts in a list
+of floats; once a row has 2^14 worlds its last two facts are multiplied
+in as the weights are summed, not stored, so the table holds 8 bytes a
+world and the oracle needs no numpy. Because compiled circuits are basis
+permutations after the preparation layer, the exact quantum marginal must
+agree with the oracle to floating-point accuracy; cross_validate asserts
+exactly that.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, cycle, repeat, tee
@@ -30,11 +33,18 @@ from .statevec import check_seed, check_shots
 from .uncertainty import fact_amplitudes
 
 MAX_ORACLE_FACTS = 20
-# The most weights one block of oracle rows holds, 512 KiB; a block holds
-# one row at least. At 2^16 weights a block's per-fact calls cost little
-# next to its arithmetic, and from 16 facts on a block is one row, so many
-# rows take no more memory than one
-ORACLE_BLOCK_ENTRIES = 2**16
+# The most entries one block of oracle rows puts in its weight table,
+# 512 KiB as a list of floats (32 B an entry: a pointer and a float); a
+# block holds one row at least. At 2^14 entries a block's per-fact calls
+# cost little next to its arithmetic
+ORACLE_BLOCK_ENTRIES = 2**14
+# Once one row's worlds would fill a block, its last ORACLE_STREAMED_FACTS
+# facts are streamed into the folds, not doubled into the table, so the
+# table takes 8 B a world, as an array of doubles would; from 16 facts on
+# a block is one row, so many rows take no more memory than one. Streaming
+# saves memory, not time: its chained maps cost more than the doublings
+# they replace
+ORACLE_STREAMED_FACTS = 2
 
 
 @dataclass(frozen=True)
@@ -197,16 +207,19 @@ def oracle_rows(rs: RuleSet, rows: Sequence[Sequence[float]]) -> list[OracleResu
     long program holds only its live planes. A world's weight is the product, in
     declaration order, of sin^2 theta for each true fact and cos^2 theta
     for each false one, worked out once per distinct disbelief of the call.
-    The rows go in blocks of at most ``ORACLE_BLOCK_ENTRIES`` weights (one
-    row at least), and each block's weights are one world-major table of
-    prefix products over the facts: a fact costs two C-level passes over
-    the block, not two per row. Each row's goal-true weights are then
-    summed by a left fold in world order over its column of the table, so
-    each row's result equals a separate ``oracle`` call on a RuleSet with
-    that row's disbeliefs, bit for bit, and the memory held is that of one
-    block. Nothing here touches the compiler or the circuit: the oracle
-    builds its own planes and weights, and stays an independent check of
-    them.
+    The rows go in blocks whose table holds at most ``ORACLE_BLOCK_ENTRIES``
+    entries (one row at least), and each block's table is one world-major
+    list of prefix products over the facts: a fact costs two C-level passes
+    over the block, not two per row. Once a row has ``ORACLE_BLOCK_ENTRIES``
+    worlds, the last ``ORACLE_STREAMED_FACTS`` facts stay out of the table
+    and are multiplied in as the weights are summed (``_goal_weights``), so
+    the table takes 8 bytes a world. Each row's weights are summed by two
+    left folds in world order, over all worlds and over the goal-true
+    ones, so each row's result equals a separate ``oracle`` call on a
+    RuleSet with that row's disbeliefs, bit for bit, and the memory held is
+    that of one block. Nothing here touches the compiler or the circuit:
+    the oracle builds its own planes and weights, and stays an independent
+    check of them.
     """
     order = topo_order(rs)
     names = list(rs.base_facts)
@@ -268,48 +281,70 @@ def oracle_rows(rs: RuleSet, rows: Sequence[Sequence[float]]) -> list[OracleResu
     digits = format(values[rs.goal], f"0{n_worlds}b")[::-1]
     goal_true = digits.encode().translate(_DIGIT_BYTES)
 
-    block_rows = max(1, ORACLE_BLOCK_ENTRIES >> len(names))
+    streamed = ORACLE_STREAMED_FACTS if n_worlds >= ORACLE_BLOCK_ENTRIES else 0
+    block_rows = max(1, ORACLE_BLOCK_ENTRIES >> (len(names) - streamed))
     return [OracleResult(rs.goal, p_goal, n_worlds)
             for start in range(0, len(rows), block_rows)
             for p_goal in _goal_weights(rows[start:start + block_rows], p_false_of.__getitem__,
-                                        p_true_of.__getitem__, goal_true)]
+                                        p_true_of.__getitem__, goal_true, streamed)]
 
 
 def _goal_weights(block: Sequence[Sequence[float]], p_false: Callable[[float], float],
-                  p_true: Callable[[float], float], goal_true: bytes) -> list[float]:
+                  p_true: Callable[[float], float], goal_true: bytes, streamed: int
+                  ) -> list[float]:
     """The goal-true weight of each row of disbeliefs in ``block``.
 
     ``p_false`` and ``p_true`` map a disbelief to a fact's P(false) and
     P(true), and byte w of ``goal_true`` is 1 where the goal holds in world
-    w. Entry w * R + r of one world-major table is row r's weight of world
-    w. Fact i is bit i of the world index: each fact doubles the table, its
-    false half first, and cycle() lines each row's factor up with that
-    row's entries. The table and its views are freed on return, before the
-    caller builds the next block's.
+    w. Fact i is bit i of the world index. The first k - ``streamed`` facts
+    build one world-major table, a list of floats whose entry l * R + r is
+    row r's weight of low world l: each fact doubles the table, its false
+    half first, and cycle() lines each row's factor up with that row's
+    entries. The last ``streamed`` facts are the high bits h of the world
+    index, w = h * 2^(k - streamed) + l, and are never doubled into the
+    table: for each h in world order, a row's column of the table goes
+    through one ``map(mul, repeat(factor), ...)`` per streamed fact, and
+    both left folds, the total over every world and the goal's over its
+    worlds, go on from their running values. Each weight is the product of
+    the same factors in the same order as a table of all k facts, and each
+    fold adds the same weights in world order, so every value is the same
+    bits. The table is freed on return, before the caller builds the next
+    block's.
     """
     n_rows = len(block)
-    # an array of doubles takes 8 bytes a weight, a list of floats 32;
+    n_low = len(goal_true) >> streamed  # the worlds of the table's facts
+    facts = list(zip(*block))  # each fact's disbelief in each row
+    n_table = len(facts) - streamed
     # mul(x, w) is x * w, as in a per-row product
-    table = array("d", [1.0]) * n_rows
-    for deltas in zip(*block):  # one fact's disbelief in each row
+    table = [1.0] * n_rows
+    for deltas in facts[:n_table]:
         if n_rows == 1:  # the same factors as cycle() gives, built for less
             falses, trues = repeat(p_false(deltas[0])), repeat(p_true(deltas[0]))
         else:
             falses, trues = cycle(map(p_false, deltas)), cycle(map(p_true, deltas))
-        doubled = array("d", map(mul, falses, table))
-        doubled.extend(map(mul, trues, table))
+        doubled = list(map(mul, falses, table))
+        doubled += map(mul, trues, table)
         table = doubled
-    view = memoryview(table)
     # a left fold of 2^k weights may drift from 1 by about 2^k ulps
     tolerance = max(1e-12, len(goal_true) * 2**-52)
     p_goals = []
-    for r in range(n_rows):
-        weights = view[r::n_rows]  # row r's, in world order
-        # a left fold, as the per-world loop adds: sum() compensates its
+    for r, row in enumerate(block):
+        column = table[r::n_rows] if n_rows > 1 else table  # row r's, low worlds in order
+        pairs = [(p_false(delta), p_true(delta)) for delta in row[n_table:]]
+        # left folds, as the per-world loop adds: sum() compensates its
         # rounding from Python 3.12 on
-        total = reduce(add, weights, 0.0)
+        total = p_goal = 0.0
+        for h in range(1 << streamed):
+            weights = column
+            goal_weights = compress(column, goal_true[h * n_low:(h + 1) * n_low])
+            for j, pair in enumerate(pairs):  # fact n_table + j is bit j of h
+                factor = repeat(pair[h >> j & 1])
+                weights = map(mul, factor, weights)
+                goal_weights = map(mul, factor, goal_weights)
+            total = reduce(add, weights, total)
+            p_goal = reduce(add, goal_weights, p_goal)
         assert abs(total - 1.0) <= tolerance, "assignment weights must sum to 1"
-        p_goals.append(reduce(add, compress(weights, goal_true), 0.0))
+        p_goals.append(p_goal)
     return p_goals
 
 

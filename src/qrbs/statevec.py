@@ -303,7 +303,7 @@ def circuit_planes(circuit: Circuit) -> list[int]:
 def _factor_index(k: int) -> np.ndarray:
     """Where ``plane_marginals`` reads each world's factors, for k M gates.
 
-    A row of factors holds sin^2 theta_i in column i, cos^2 theta_i in
+    A row of factors holds sin^2 theta_i in column i, 1 - sin^2 theta_i in
     column k + i, and 1.0 in column 2k. Of the k facts, the low half has
     a = k // 2 and the high half m = k - a. Entry [0, l, j] is the column of
     fact j's factor in low world l, and [1, h, j] that of fact a + j in high
@@ -325,12 +325,14 @@ def plane_marginals(plane: int, thetas: Sequence[Sequence[float]] | np.ndarray
     """Weight of the worlds where ``plane`` reads 1, for each row of angles.
 
     ``thetas`` holds R >= 1 rows, as nested sequences or an (R, k) array.
-    A row holds the angles of the k M gates, in gate order. Bit w of the plane is its value in world w, whose weight is
-    the product over i of cos^2 theta_i if bit i of w is 1,
-    else sin^2 theta_i. The 2^k weights are a Kronecker product and are
-    never built. A world index splits into its low a = k // 2 bits, l, and
-    its high bits, h, so weight[h * 2^a + l] = high[h] * low[l], where low
-    and high are the products over each half's facts, taken in fact order.
+    A row holds the angles of the k M gates, in gate order. Bit w of the
+    plane is its value in world w, whose weight is the product over i of
+    cos^2 theta_i if bit i of w is 1, else sin^2 theta_i; cos^2 is taken as
+    1 - sin^2, so that theta = pi/2 weighs bit 1 at exactly 0. The 2^k
+    weights are a Kronecker product and are never built. A world index
+    splits into its low a = k // 2 bits, l, and its high bits, h, so
+    weight[h * 2^a + l] = high[h] * low[l], where low and high are the
+    products over each half's facts, taken in fact order.
     The plane is unpacked once into a (2^(k - a), 2^a) bool mask, one byte
     a world. For every row, np.add.reduce with where=mask sums the low
     factor over each mask row, through a view that repeats the factor
@@ -343,10 +345,13 @@ def plane_marginals(plane: int, thetas: Sequence[Sequence[float]] | np.ndarray
     thetas = np.asarray(thetas, dtype=float)
     n_rows, k = thetas.shape
     factors = np.empty((n_rows, 2 * k + 1))
-    np.sin(thetas, out=factors[:, :k])
-    np.cos(thetas, out=factors[:, k:-1])
+    sin2 = factors[:, :k]
+    np.sin(thetas, out=sin2)
+    sin2 *= sin2  # M(theta)|0> has real amplitudes (sin, cos)
+    # cos^2 as 1 - sin^2: cos(pi/2) is 6.1e-17 in floating point, not 0,
+    # while sin(pi/2) is 1, so a fact at disbelief 100 weighs 0 on bit 1
+    np.subtract(1.0, sin2, out=factors[:, k:-1])
     factors[:, -1] = 1.0
-    factors *= factors  # M(theta)|0> has real amplitudes (sin, cos)
     # tables[r, 0] is row r's low factor, tables[r, 1] its high factor
     tables = np.multiply.reduce(factors.take(_factor_index(k), axis=1), axis=3)
     n_worlds = 1 << k

@@ -66,6 +66,16 @@ def test_run_jsonl_format(demo_file, capsys):
     assert record["p_true"] + record["p_false"] == pytest.approx(1.0)
 
 
+def test_run_jsonl_at_disbelief_100_prints_p_true_0(tmp_path, capsys):
+    # cos(pi/2) is 6.1e-17, not 0: the exact path once printed 7.5e-33
+    path = tmp_path / "discredited.qrbs"
+    path.write_text("fact a disbelief 100\nfact b disbelief 100\n"
+                    "rule r: if a or b then c\ngoal c\n", encoding="utf-8")
+    assert main(["run", str(path), "--format", "jsonl"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["p_true"], record["p_false"]) == (0.0, 1.0)
+
+
 def test_run_malformed_file_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.qrbs"
     bad.write_text("fact A\nrule R: if A or then B\ngoal B", encoding="utf-8")

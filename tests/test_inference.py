@@ -445,6 +445,65 @@ def test_oracle_rows_hold_one_block_of_world_weights():
         assert result.p_true == pytest.approx(1.0 - (1.0 - p0 * p1) * p17, abs=1e-12)
 
 
+def _shared_source(n_facts):
+    """D_j = S and F_j or T and not F_j for each of n_facts - 2 facts F_j,
+    chained by G_j = G_(j-1) and/or D_j. S and T, which every D_j reads,
+    are declared last, so they are the world index's high bits."""
+    lines = [f"fact F{j} disbelief {(29 * j + 5) % 101}" for j in range(n_facts - 2)]
+    lines += ["fact S disbelief 40", "fact T disbelief 75"]
+    for j in range(n_facts - 2):
+        lines.append(f"rule D{j}: if S and F{j} or T and not F{j} then D{j}")
+    lines.append("rule G0: if D0 then G0")
+    for j in range(1, n_facts - 2):
+        op = "and" if j % 3 else "or"
+        lines.append(f"rule G{j}: if G{j - 1} {op} D{j} then G{j}")
+    return "\n".join([*lines, f"goal G{n_facts - 3}"])
+
+
+def test_oracle_rows_equal_the_per_world_loop_around_the_streaming_threshold():
+    # a row streams its last facts from ORACLE_BLOCK_ENTRIES worlds on, so
+    # these sizes weight one row without streaming, and two with it; nine
+    # rows leave the last block part full at each size
+    threshold = inference.ORACLE_BLOCK_ENTRIES.bit_length() - 1
+    rng = random.Random(19)
+    for n_facts in (threshold - 1, threshold, threshold + 1):
+        rs = parse(_shared_source(n_facts))
+        assert len(rs.base_facts) == n_facts
+        rows = [[0.0] * n_facts, [100.0] * n_facts,
+                [rng.choice([0.0, 100.0]) for _ in range(n_facts)],
+                list(rs.base_facts.values()),
+                *([rng.uniform(0.0, 100.0) for _ in range(n_facts)] for _ in range(3)),
+                *_random_rows(rs, rng, n_rows=2)]
+        expected = _per_world_oracle_rows(rs, rows)
+        assert [r.p_true for r in oracle_rows(rs, rows)] == expected
+        assert [oracle_rows(rs, [row])[0].p_true for row in rows] == expected
+
+
+def test_oracle_of_a_20_fact_chain_holds_no_more_than_an_array_would():
+    # the table's last two facts are streamed, so its list of 2^18 floats
+    # takes the 8 MiB that 2^20 doubles would; a table of all 20 facts, as
+    # a list, would take 32 MiB
+    rs = parse(_chain_source(20))
+    tracemalloc.start()
+    try:
+        result = oracle(rs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert result.enumerated_assignments == 2**20
+
+
+def test_facts_at_disbelief_100_weigh_exactly_0_on_true():
+    # fact_theta(100) is pi/2, whose cosine is 6.1e-17 in floating point
+    rs = parse("fact a disbelief 100\nfact b disbelief 100\n"
+               "rule r: if a or b then c\ngoal c")
+    cp = compile_ruleset(rs)
+    assert cp.p_goal == 0.0
+    assert cp.goal_marginals([[100.0, 100.0], [0.0, 100.0]]) == [0.0, 1.0]
+    assert oracle(rs).p_true == 0.0
+
+
 def test_cross_validate_demo_grid():
     for deltas in [(0,) * 5, (50,) * 5, (100,) * 5, (20, 60, 0, 0, 20), (60, 100, 20, 0, 0)]:
         report = cross_validate(demo_ruleset(deltas))
