@@ -8,12 +8,12 @@ alone, so ``oracle_rows`` evaluates each rule once over all worlds, as
 bit-planes with one bit per world, while it reads the rule's premise in
 ``ruledsl.premise_nodes`` order, and weights the worlds for any number of
 disbelief rows. The weights are prefix products over the facts in a list
-of floats; once a row has 2^14 worlds its last two facts are multiplied
-in as the weights are summed, not stored, so the table holds 8 bytes a
-world and the oracle needs no numpy. Because compiled circuits are basis
-permutations after the preparation layer, the exact quantum marginal must
-agree with the oracle to floating-point accuracy; cross_validate asserts
-exactly that.
+of floats of at most 2^18 entries, so the oracle needs no numpy: up to 18
+facts every weight of a row is stored, and past 18 a row's last facts are
+multiplied in as the weights are summed. Because compiled circuits are
+basis permutations after the preparation layer, the exact quantum marginal
+must agree with the oracle to floating-point accuracy; cross_validate
+asserts exactly that.
 """
 
 from __future__ import annotations
@@ -33,18 +33,12 @@ from .statevec import check_seed, check_shots
 from .uncertainty import fact_amplitudes
 
 MAX_ORACLE_FACTS = 20
-# The most entries one block of oracle rows puts in its weight table,
-# 512 KiB as a list of floats (32 B an entry: a pointer and a float); a
-# block holds one row at least. At 2^14 entries a block's per-fact calls
-# cost little next to its arithmetic
-ORACLE_BLOCK_ENTRIES = 2**14
-# Once one row's worlds would fill a block, its last ORACLE_STREAMED_FACTS
-# facts are streamed into the folds, not doubled into the table, so the
-# table takes 8 B a world, as an array of doubles would; from 16 facts on
-# a block is one row, so many rows take no more memory than one. Streaming
-# saves memory, not time: its chained maps cost more than the doublings
-# they replace
-ORACLE_STREAMED_FACTS = 2
+# The most entries one block of oracle rows puts in its world-major weight
+# table, 8 MiB as a list of floats (32 B an entry: a pointer and a float). A
+# block holds one row at least, so a row of up to 18 facts keeps all its
+# worlds in the table; a row of more streams its facts past the 18th into
+# the folds, which holds the table to 8 MiB at the 20-fact budget too
+ORACLE_BLOCK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -210,16 +204,16 @@ def oracle_rows(rs: RuleSet, rows: Sequence[Sequence[float]]) -> list[OracleResu
     The rows go in blocks whose table holds at most ``ORACLE_BLOCK_ENTRIES``
     entries (one row at least), and each block's table is one world-major
     list of prefix products over the facts: a fact costs two C-level passes
-    over the block, not two per row. Once a row has ``ORACLE_BLOCK_ENTRIES``
-    worlds, the last ``ORACLE_STREAMED_FACTS`` facts stay out of the table
-    and are multiplied in as the weights are summed (``_goal_weights``), so
-    the table takes 8 bytes a world. Each row's weights are summed by two
-    left folds in world order, over all worlds and over the goal-true
-    ones, so each row's result equals a separate ``oracle`` call on a
-    RuleSet with that row's disbeliefs, bit for bit, and the memory held is
-    that of one block. Nothing here touches the compiler or the circuit:
-    the oracle builds its own planes and weights, and stays an independent
-    check of them.
+    over the block, not two per row. That one budget also decides which
+    facts stream: a row's table takes as many facts as the budget holds,
+    all of them up to 18 facts at 2^18 entries, and the remaining k - 18 stay
+    out of the table and are multiplied in as the weights are summed
+    (``_goal_weights``). Each row's goal-true weights are summed by a left
+    fold in world order, so each row's result equals a separate ``oracle``
+    call on a RuleSet with that row's disbeliefs, bit for bit, and the
+    memory held is that of one block. Nothing here touches the compiler or
+    the circuit: the oracle builds its own planes and weights, and stays an
+    independent check of them.
     """
     order = topo_order(rs)
     names = list(rs.base_facts)
@@ -281,7 +275,8 @@ def oracle_rows(rs: RuleSet, rows: Sequence[Sequence[float]]) -> list[OracleResu
     digits = format(values[rs.goal], f"0{n_worlds}b")[::-1]
     goal_true = digits.encode().translate(_DIGIT_BYTES)
 
-    streamed = ORACLE_STREAMED_FACTS if n_worlds >= ORACLE_BLOCK_ENTRIES else 0
+    # a row streams the facts whose worlds would outgrow the table's budget
+    streamed = max(0, n_worlds.bit_length() - ORACLE_BLOCK_ENTRIES.bit_length())
     block_rows = max(1, ORACLE_BLOCK_ENTRIES >> (len(names) - streamed))
     return [OracleResult(rs.goal, p_goal, n_worlds)
             for start in range(0, len(rows), block_rows)
@@ -300,16 +295,21 @@ def _goal_weights(block: Sequence[Sequence[float]], p_false: Callable[[float], f
     build one world-major table, a list of floats whose entry l * R + r is
     row r's weight of low world l: each fact doubles the table, its false
     half first, and cycle() lines each row's factor up with that row's
-    entries. The last ``streamed`` facts are the high bits h of the world
+    entries. The last ``streamed`` facts, none unless a row's worlds
+    outgrow ``ORACLE_BLOCK_ENTRIES``, are the high bits h of the world
     index, w = h * 2^(k - streamed) + l, and are never doubled into the
     table: for each h in world order, a row's column of the table goes
     through one ``map(mul, repeat(factor), ...)`` per streamed fact, and
-    both left folds, the total over every world and the goal's over its
-    worlds, go on from their running values. Each weight is the product of
-    the same factors in the same order as a table of all k facts, and each
-    fold adds the same weights in world order, so every value is the same
-    bits. The table is freed on return, before the caller builds the next
-    block's.
+    both folds go on from their running values. Each weight is the product
+    of the same factors in the same order as a table of all k facts.
+
+    The goal's fold is ``reduce(add, ...)``, a left fold in world order, as
+    the per-world loop adds, so every value is the same bits on every
+    Python version. The total over all worlds only checks that the weights
+    sum to 1 within a tolerance, so it is the builtin ``sum()``, a C double
+    loop: the same left fold up to Python 3.11, and compensated, so closer
+    to 1, from 3.12 on. The table is freed on return, before the caller
+    builds the next block's.
     """
     n_rows = len(block)
     n_low = len(goal_true) >> streamed  # the worlds of the table's facts
@@ -331,8 +331,6 @@ def _goal_weights(block: Sequence[Sequence[float]], p_false: Callable[[float], f
     for r, row in enumerate(block):
         column = table[r::n_rows] if n_rows > 1 else table  # row r's, low worlds in order
         pairs = [(p_false(delta), p_true(delta)) for delta in row[n_table:]]
-        # left folds, as the per-world loop adds: sum() compensates its
-        # rounding from Python 3.12 on
         total = p_goal = 0.0
         for h in range(1 << streamed):
             weights = column
@@ -341,7 +339,7 @@ def _goal_weights(block: Sequence[Sequence[float]], p_false: Callable[[float], f
                 factor = repeat(pair[h >> j & 1])
                 weights = map(mul, factor, weights)
                 goal_weights = map(mul, factor, goal_weights)
-            total = reduce(add, weights, total)
+            total = sum(weights, total)
             p_goal = reduce(add, goal_weights, p_goal)
         assert abs(total - 1.0) <= tolerance, "assignment weights must sum to 1"
         p_goals.append(p_goal)

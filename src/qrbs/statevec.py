@@ -232,18 +232,22 @@ def world_weights(thetas: Sequence[float]) -> np.ndarray:
     """Probability of each world of k qubits prepared by M(thetas[i]) on |0>.
 
     ``weights[w]`` (float64, 2^k) is the product over i of cos^2(thetas[i])
-    if bit i of w is 1, else sin^2(thetas[i]). It depends on the angles
-    alone; ``circuit_planes`` gives the planes that go with them.
+    if bit i of w is 1, else sin^2(thetas[i]); cos^2 is taken as 1 - sin^2,
+    as in ``plane_marginals``, so that theta = pi/2 weighs bit 1 at exactly
+    0. It depends on the angles alone; ``circuit_planes`` gives the planes
+    that go with them.
     """
     n_worlds = 1 << len(thetas)
     weights = np.empty(n_worlds)
     weights[0] = 1.0
     for i, theta in enumerate(thetas):
-        # M(theta)|0> = sin(theta)|0> + cos(theta)|1>: double the amplitudes
+        # M(theta)|0> = sin(theta)|0> + cos(theta)|1> has real amplitudes:
+        # double the probabilities
+        sin = math.sin(theta)
+        sin2 = sin * sin
         size = 1 << i
-        np.multiply(weights[:size], math.cos(theta), out=weights[size : 2 * size])
-        weights[:size] *= math.sin(theta)
-    weights *= weights  # amplitudes are real: squaring gives probabilities
+        np.multiply(weights[:size], 1.0 - sin2, out=weights[size : 2 * size])
+        weights[:size] *= sin2
     return weights
 
 

@@ -186,9 +186,11 @@ def test_oracle_rows_equal_one_oracle_call_per_row():
         ]
 
 
-def test_oracle_rows_on_12_to_14_facts_equal_one_row_calls():
-    # 40 rows span several blocks at each size; at 12 facts the last one
-    # is part full
+def test_oracle_rows_on_12_to_14_facts_equal_one_row_calls(monkeypatch):
+    # a budget of 3 * 2^12 entries, not a power of two, holds 3 rows of 12
+    # facts, so 40 rows fill 13 blocks and leave the last one part full; a
+    # row of 13 facts fills its table alone, and one of 14 streams a fact
+    monkeypatch.setattr(inference, "ORACLE_BLOCK_ENTRIES", 3 * 2**12)
     rng = random.Random(17)
     for n_facts in (12, 13, 14):
         rs = parse(_chain_source(n_facts))
@@ -346,7 +348,7 @@ def test_oracle_on_a_20_fact_shared_network_equals_its_closed_form():
 
 def test_oracle_holds_only_live_planes_of_a_600_rule_chain():
     # 1800 instructions over 2^18 worlds: one 32 KiB plane each would
-    # peak near 45 MiB; the weight table and the goal bytes take about 4
+    # peak near 45 MiB; the weight table and the goal bytes take about 13
     lines = [f"fact F{i} disbelief {5 * i}" for i in range(18)] + ["rule R0: if F0 then C0"]
     lines += [f"rule R{i}: if C{i - 1} and not F{i % 18} or F{(i + 1) % 18} then C{i}"
               for i in range(1, 600)]
@@ -421,9 +423,9 @@ def test_goal_marginals_of_64_rows_hold_no_row_of_world_weights():
 
 
 def test_oracle_rows_hold_one_block_of_world_weights():
-    # at 18 facts a block holds one row, whose 2^18 weights take 2 MiB; the
-    # four rows in one table would take 8 MiB. Four rows suffice: traced,
-    # each row takes most of a second
+    # at 18 facts a block holds one row, whose 2^18 weights take 8 MiB as a
+    # list; the four rows in one table would take 32 MiB. Four rows suffice:
+    # traced, each row takes most of a second
     rs = parse("\n".join([*(f"fact f{i} disbelief {5 * i}" for i in range(18)),
                           "rule R: if f0 and f1 or not f17 then g", "goal g"]))
     rng = random.Random(16)
@@ -460,13 +462,15 @@ def _shared_source(n_facts):
     return "\n".join([*lines, f"goal G{n_facts - 3}"])
 
 
-def test_oracle_rows_equal_the_per_world_loop_around_the_streaming_threshold():
-    # a row streams its last facts from ORACLE_BLOCK_ENTRIES worlds on, so
-    # these sizes weight one row without streaming, and two with it; nine
-    # rows leave the last block part full at each size
+def test_oracle_rows_equal_the_per_world_loop_around_the_streaming_threshold(monkeypatch):
+    # a row streams the facts whose worlds outgrow ORACLE_BLOCK_ENTRIES; at
+    # 2^10 entries 9 facts put two rows in a block, so nine rows leave the
+    # last block part full, 10 facts fill the table with one row, and 11
+    # and 12 facts stream one and two facts
+    monkeypatch.setattr(inference, "ORACLE_BLOCK_ENTRIES", 2**10)
     threshold = inference.ORACLE_BLOCK_ENTRIES.bit_length() - 1
     rng = random.Random(19)
-    for n_facts in (threshold - 1, threshold, threshold + 1):
+    for n_facts in (threshold - 1, threshold, threshold + 1, threshold + 2):
         rs = parse(_shared_source(n_facts))
         assert len(rs.base_facts) == n_facts
         rows = [[0.0] * n_facts, [100.0] * n_facts,
@@ -477,6 +481,38 @@ def test_oracle_rows_equal_the_per_world_loop_around_the_streaming_threshold():
         expected = _per_world_oracle_rows(rs, rows)
         assert [r.p_true for r in oracle_rows(rs, rows)] == expected
         assert [oracle_rows(rs, [row])[0].p_true for row in rows] == expected
+
+
+def test_oracle_of_an_18_fact_chain_holds_its_whole_table_in_16_mib():
+    # 18 facts are the most a row keeps in its table: 2^18 floats in a list
+    # take 8 MiB, and the last doubling holds the 4 MiB table it doubles
+    rs = parse(_chain_source(18))
+    tracemalloc.start()
+    try:
+        result = oracle(rs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert result.enumerated_assignments == 2**18
+
+
+class _SkewedPTrue(float):
+    """A fact's P(true) whose complement 1 - p comes out 1e-6 too large, so
+    that the fact's P(false) + P(true) is not 1."""
+
+    def __rsub__(self, other):
+        return float(other) - float(self) + 1e-6
+
+
+@pytest.mark.parametrize("n_facts", [10, 20])
+def test_oracle_weights_that_do_not_sum_to_1_fail_the_check(monkeypatch, n_facts):
+    # 10 facts keep every world in the table, and 20 stream two facts
+    amplitudes = inference.fact_amplitudes
+    monkeypatch.setattr(inference, "fact_amplitudes", lambda delta: SimpleNamespace(
+        p_true=_SkewedPTrue(amplitudes(delta).p_true)))
+    with pytest.raises(AssertionError, match="assignment weights must sum to 1"):
+        oracle(parse(_chain_source(n_facts)))
 
 
 def test_oracle_of_a_20_fact_chain_holds_no_more_than_an_array_would():

@@ -290,6 +290,11 @@ def test_worlds_of_one_prepared_qubit():
     assert [_bits(plane, 2) for plane in planes] == [[False, False], [False, True]]
 
 
+def test_world_weights_at_pi_over_2_weigh_bit_1_at_exactly_0():
+    # cos(pi/2) is 6.1e-17 in floating point, whose square is not 0
+    assert world_weights([math.pi / 2]).tolist() == [1.0, 0.0]
+
+
 def test_worlds_without_m_layer_is_one_basis_state():
     ops = (CircuitOp(X, 0), CircuitOp(X, 2, controls=(0,)), CircuitOp(X, 1, controls=(0, 2)))
     planes = circuit_planes(Circuit(3, ops, measured_qubit=1))
