@@ -1,8 +1,10 @@
 import math
 import random
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +16,7 @@ from qrbs.inference import (
     InferenceResult, cross_validate, infer_exact, infer_shots, oracle, oracle_rows, shots_rows,
 )
 from qrbs.reference import TABLE8, demo_ruleset
-from qrbs.ruledsl import And, FactRef, Not, Rule, RuleSet, parse, topo_order
+from qrbs.ruledsl import And, FactRef, Not, Rule, RuleSet, parse, premise_nodes, topo_order
 from qrbs.uncertainty import fact_amplitudes
 
 
@@ -200,6 +202,55 @@ def test_oracle_rows_on_12_to_14_facts_equal_one_row_calls(monkeypatch):
         assert results == [oracle(_with_deltas(rs, row)) for row in rows]
         assert [r.p_true for r in results] == _per_world_oracle_rows(rs, rows)
         assert oracle_rows(rs, []) == []
+
+
+def _tree_source(rng, n_facts=14, n_or=6, n_not=2, n_rules=4):
+    """A seeded tree of n_facts facts, each read once, joined by n_facts - 1
+    connectives, n_or of them or and the rest and, with n_not of their
+    results negated, over n_rules rules. Returns the source and the goal's
+    probability by closed-form propagation."""
+    lines, pool = [], []  # pool: the (text, probability) of each unread operand
+    for i in range(n_facts):
+        delta = round(rng.uniform(0.0, 100.0), 3)
+        lines.append(f"fact f{i} disbelief {delta}")
+        pool.append((f"f{i}", _p_true(delta)))
+    kinds = ["or"] * n_or + ["and"] * (n_facts - 1 - n_or)
+    rng.shuffle(kinds)
+    negated = set(rng.sample(range(n_facts - 1), n_not))
+    cuts = sorted(rng.sample(range(1, n_facts - 1), n_rules - 1))
+    for r, (first, end) in enumerate(zip([0, *cuts], [*cuts, n_facts - 1])):
+        for j in range(first, end):
+            i, k = sorted(rng.sample(range(len(pool)), 2))
+            (right, q), (left, p) = pool.pop(k), pool.pop(i)
+            if kinds[j] == "and":
+                text, p = f"({left} and {right})", p * q
+            else:
+                text, p = f"({left} or {right})", 1.0 - (1.0 - p) * (1.0 - q)
+            pool.append((f"not {text}", 1.0 - p) if j in negated else (text, p))
+        text, p = pool.pop()
+        lines.append(f"rule r{r}: if {text} then c{r}")
+        pool.append((f"c{r}", p))
+    return "\n".join([*lines, f"goal c{n_rules - 1}"]), p
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_oracle_of_a_14_fact_tree_weighs_its_whole_table_as_the_per_world_loop(seed):
+    # the enum benchmark's shape: 14 facts, 6 or, 7 and and 2 not; at the
+    # default budget a row keeps all 2^14 worlds in its table
+    rng = random.Random(seed)
+    source, expected = _tree_source(rng)
+    rs = parse(source)
+    kinds = Counter(type(node).__name__ for rule in rs.rules
+                    for node in premise_nodes(rule.premise))
+    assert len(rs.base_facts) == 14 and len(rs.rules) == 4
+    assert [kinds[kind] for kind in ("Or", "And", "Not")] == [6, 7, 2]
+    assert 2**14 <= inference.ORACLE_BLOCK_ENTRIES
+    result = oracle(rs)
+    assert result.p_true == _per_world_oracle(rs)
+    assert result.p_true == pytest.approx(expected, abs=1e-12)
+    # three rows double the table through cycle(), one row without it
+    rows = _random_rows(rs, rng, n_rows=3)
+    assert oracle_rows(rs, rows) == [oracle_rows(rs, [row])[0] for row in rows]
 
 
 def test_goal_marginal_equals_p_goal_of_the_rebuilt_program():
@@ -513,6 +564,31 @@ def test_oracle_weights_that_do_not_sum_to_1_fail_the_check(monkeypatch, n_facts
         p_true=_SkewedPTrue(amplitudes(delta).p_true)))
     with pytest.raises(AssertionError, match="assignment weights must sum to 1"):
         oracle(parse(_chain_source(n_facts)))
+
+
+_SKEWED_ORACLE = """
+import sys
+from types import SimpleNamespace
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+sys.path.insert(0, sys.argv[1])
+from test_inference import _SkewedPTrue
+from qrbs import inference
+from qrbs.ruledsl import parse
+amplitudes = inference.fact_amplitudes
+inference.fact_amplitudes = lambda delta: SimpleNamespace(
+    p_true=_SkewedPTrue(amplitudes(delta).p_true))
+inference.oracle(parse(sys.stdin.read()))
+"""
+
+
+def test_oracle_weights_that_do_not_sum_to_1_fail_the_check_under_python_O():
+    # -O strips assert statements, and the weight-sum check must outlive it
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _SKEWED_ORACLE, str(Path(__file__).parent)],
+        input=_chain_source(10), capture_output=True, text=True)
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.endswith("AssertionError: assignment weights must sum to 1\n")
 
 
 def test_oracle_of_a_20_fact_chain_holds_no_more_than_an_array_would():
