@@ -163,7 +163,8 @@ def table8_rows(shots: int, seed: int) -> list[list[str]]:
 
     The network's structure is fixed, so it is compiled once and enumerated
     once, and each column takes all rows in one call: the oracle column
-    ``oracle_rows``, which weights the worlds of all 28 rows in one table,
+    ``oracle_rows``, which enumerates the worlds once and weighs them for
+    each row in turn,
     the exact column the compiled program's ``goal_marginals`` and the
     shots column ``shots_rows`` on the exact values, which seeds one
     generator and replays its uniforms for each row. Every value equals

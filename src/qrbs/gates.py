@@ -30,7 +30,6 @@ _FIXED_MATRICES = {
 
 IDENTITY = np.eye(2, dtype=complex)
 KET_0 = np.array([1, 0], dtype=complex)
-KET_1 = np.array([0, 1], dtype=complex)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ false), evaluates the boolean network classically, and sums the weights of
 goal-true assignments. The goal's truth in each world depends on the rules
 alone, so ``oracle_rows`` evaluates each rule once over all worlds, as
 bit-planes with one bit per world, while it reads the rule's premise in
-``ruledsl.premise_nodes`` order, and weights the worlds for any number of
-disbelief rows. The weights are prefix products over the facts in a list
-of floats of at most 2^18 entries, so the oracle needs no numpy: up to 18
-facts every weight of a row is stored, and past 18 a row's last facts are
-multiplied in as the weights are summed. Because compiled circuits are
+``ruledsl.premise_nodes`` order, and then weighs the worlds for each
+disbelief row on its own. A row's weights are prefix products over the
+facts in a list of floats of at most 2^18 entries, so the oracle needs no
+numpy: up to 18 facts every weight of the row is stored, and past 18 the
+row's last facts are multiplied in as the weights are summed. One row's
+table is held at a time, so memory does not grow with the row count. Because compiled circuits are
 basis permutations after the preparation layer, the exact quantum marginal
 must agree with the oracle to floating-point accuracy; cross_validate
 asserts exactly that.
@@ -21,11 +22,11 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, compress, cycle, repeat, tee
+from itertools import accumulate, compress, repeat, tee
 from math import fabs, floor, lgamma, log, log2, sqrt
 from operator import mul
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .compiler import BudgetError, CompiledProgram, compile_ruleset
 from .ruledsl import And, FactRef, Not, RuleSet, premise_nodes, topo_order
@@ -33,11 +34,11 @@ from .statevec import check_seed, check_shots
 from .uncertainty import fact_amplitudes
 
 MAX_ORACLE_FACTS = 20
-# The most entries one block of oracle rows puts in its world-major weight
-# table, 8 MiB as a list of floats (32 B an entry: a pointer and a float). A
-# block holds one row at least, so a row of up to 18 facts keeps all its
-# worlds in the table; a row of more streams its facts past the 18th into
-# the folds, which holds the table to 8 MiB at the 20-fact budget too
+# The most entries in one oracle row's weight table, 8 MiB as a list of
+# floats (32 B an entry: a pointer and a float). A row of up to 18 facts
+# keeps all its worlds in the table; a row of more streams its facts past
+# the 18th into the folds, which holds the table to 8 MiB at the 20-fact
+# budget too. Rows are weighed one at a time, so this bounds the call
 ORACLE_BLOCK_ENTRIES = 2**18
 
 
@@ -201,17 +202,15 @@ def oracle_rows(rs: RuleSet, rows: Sequence[Sequence[float]]) -> list[OracleResu
     long program holds only its live planes. A world's weight is the product, in
     declaration order, of sin^2 theta for each true fact and 1 - sin^2 theta
     for each false one, worked out once per distinct disbelief of the call.
-    The rows go in blocks whose table holds at most ``ORACLE_BLOCK_ENTRIES``
-    entries (one row at least), and each block's table is one world-major
-    list of prefix products over the facts: a fact costs two C-level passes
-    over the block, not two per row. That one budget also decides which
-    facts stream: a row's table takes as many facts as the budget holds,
-    all of them up to 18 facts at 2^18 entries, and the remaining k - 18 stay
-    out of the table and are multiplied in as the weights are summed
-    (``_goal_weights``). Each row's goal-true weights are summed by a left
-    fold in world order, so each row's result equals a separate ``oracle``
-    call on a RuleSet with that row's disbeliefs, bit for bit, and the
-    memory held is that of one block. Nothing here touches the compiler or
+    Each row is weighed on its own (``_goal_weight``): its table is a list
+    of prefix products over the facts, of at most ``ORACLE_BLOCK_ENTRIES``
+    entries. That budget decides which facts stream: the table takes as
+    many facts as the budget holds, all of them up to 18 facts at 2^18
+    entries, and the remaining k - 18 stay out of the table and are
+    multiplied in as the weights are summed. Each row's goal-true weights
+    are summed by a left fold in world order, so each row's result equals a
+    separate ``oracle`` call on a RuleSet with that row's disbeliefs, bit
+    for bit, and the memory held is that of one row's table. Nothing here touches the compiler or
     the circuit: the oracle builds its own planes and weights, and stays an
     independent check of them.
     """
@@ -228,11 +227,10 @@ def oracle_rows(rs: RuleSet, rows: Sequence[Sequence[float]]) -> list[OracleResu
                 f"expected {len(names)} disbeliefs, one per base fact, got {len(row)}"
             )
     # P(false) and P(true) of each distinct disbelief, worked out once
-    p_false_of: dict[float, float] = {}
-    p_true_of: dict[float, float] = {}
+    pair_of: dict[float, tuple[float, float]] = {}
     for delta in {delta for row in rows for delta in row}:
         p = fact_amplitudes(delta).p_true
-        p_false_of[delta], p_true_of[delta] = 1.0 - p, p
+        pair_of[delta] = (1.0 - p, p)
     premises = [premise_nodes(rule.premise) for rule in order]
     # a plane is 2^k bits, so each is dropped after its last read: ``reads``
     # counts the reads left of each fact, the goal's included
@@ -277,32 +275,27 @@ def oracle_rows(rs: RuleSet, rows: Sequence[Sequence[float]]) -> list[OracleResu
 
     # a row streams the facts whose worlds would outgrow the table's budget
     streamed = max(0, n_worlds.bit_length() - ORACLE_BLOCK_ENTRIES.bit_length())
-    block_rows = max(1, ORACLE_BLOCK_ENTRIES >> (len(names) - streamed))
-    return [OracleResult(rs.goal, p_goal, n_worlds)
-            for start in range(0, len(rows), block_rows)
-            for p_goal in _goal_weights(rows[start:start + block_rows], p_false_of.__getitem__,
-                                        p_true_of.__getitem__, goal_true, streamed)]
+    return [OracleResult(rs.goal, _goal_weight([pair_of[delta] for delta in row],
+                                               goal_true, streamed), n_worlds)
+            for row in rows]
 
 
-def _goal_weights(block: Sequence[Sequence[float]], p_false: Callable[[float], float],
-                  p_true: Callable[[float], float], goal_true: bytes, streamed: int
-                  ) -> list[float]:
-    """The goal-true weight of each row of disbeliefs in ``block``.
+def _goal_weight(pairs: Sequence[tuple[float, float]], goal_true: bytes,
+                 streamed: int) -> float:
+    """The goal-true weight of one row of disbeliefs.
 
-    ``p_false`` and ``p_true`` map a disbelief to a fact's P(false) and
-    P(true), and byte w of ``goal_true`` is 1 where the goal holds in world
-    w. Fact i is bit i of the world index. The first k - ``streamed`` facts
-    build one world-major table, a list of floats whose entry l * R + r is
-    row r's weight of low world l: each fact doubles the table, its false
-    half first. One row doubles it in one float comprehension; more rows
-    use ``map(mul, ...)``, where cycle() lines each row's factor up with
-    that row's entries. The last ``streamed`` facts, none unless a row's
-    worlds outgrow ``ORACLE_BLOCK_ENTRIES``, are the high bits h of the world
-    index, w = h * 2^(k - streamed) + l, and are never doubled into the
-    table: for each h in world order, a row's column of the table goes
-    through one ``map(mul, repeat(factor), ...)`` per streamed fact, and
-    both folds go on from their running values. Each weight is the product
-    of the same factors in the same order as a table of all k facts.
+    ``pairs`` holds each fact's (P(false), P(true)) in declaration order,
+    and byte w of ``goal_true`` is 1 where the goal holds in world w. Fact
+    i is bit i of the world index. The first k - ``streamed`` facts build
+    the row's table, a list of floats whose entry l is the weight of low
+    world l: each fact doubles the table in one float comprehension, its
+    false half first. The last ``streamed`` facts, none unless the row's
+    worlds outgrow ``ORACLE_BLOCK_ENTRIES``, are the high bits h of the
+    world index, w = h * 2^(k - streamed) + l, and are never doubled into
+    the table: for each h in world order, the table goes through one
+    ``map(mul, repeat(factor), ...)`` per streamed fact, and both folds go
+    on from their running values. Each weight is the product of the same
+    factors in the same order as a table of all k facts.
 
     The goal's fold is the last value of ``accumulate(..., initial=...)``,
     kept by a ``deque`` of length 1: a left fold in world order, as the
@@ -312,44 +305,28 @@ def _goal_weights(block: Sequence[Sequence[float]], p_false: Callable[[float], f
     the same left fold up to Python 3.11, and compensated, so closer to 1,
     from 3.12 on. A total off by more raises ``AssertionError``, also under
     ``python -O``. The table is freed on return, before the caller builds
-    the next block's.
+    the next row's.
     """
-    n_rows = len(block)
     n_low = len(goal_true) >> streamed  # the worlds of the table's facts
-    facts = list(zip(*block))  # each fact's disbelief in each row
-    n_table = len(facts) - streamed
-    # mul(x, w) is x * w, as in a per-row product
-    table = [1.0] * n_rows
-    for deltas in facts[:n_table]:
-        if n_rows == 1:
-            # the same products as the cycle() branch below. A zip/cycle
-            # comprehension times the same as that branch at 28 rows, but
-            # takes about 1.45 times as long as this one at one row
-            table = [f * w for f in (p_false(deltas[0]), p_true(deltas[0])) for w in table]
-        else:
-            doubled = list(map(mul, cycle(map(p_false, deltas)), table))
-            doubled += map(mul, cycle(map(p_true, deltas)), table)
-            table = doubled
+    n_table = len(pairs) - streamed
+    table = [1.0]
+    for pair in pairs[:n_table]:
+        table = [f * w for f in pair for w in table]
+    total = p_goal = 0.0
+    for h in range(1 << streamed):
+        weights = table
+        goal_weights = compress(table, goal_true[h * n_low:(h + 1) * n_low])
+        for j, pair in enumerate(pairs[n_table:]):  # fact n_table + j is bit j of h
+            factor = repeat(pair[h >> j & 1])
+            weights = map(mul, factor, weights)
+            goal_weights = map(mul, factor, goal_weights)
+        total = sum(weights, total)
+        p_goal = deque(accumulate(goal_weights, initial=p_goal), maxlen=1)[0]
     # a left fold of 2^k weights may drift from 1 by about 2^k ulps
     tolerance = max(1e-12, len(goal_true) * 2**-52)
-    p_goals = []
-    for r, row in enumerate(block):
-        column = table[r::n_rows] if n_rows > 1 else table  # row r's, low worlds in order
-        pairs = [(p_false(delta), p_true(delta)) for delta in row[n_table:]]
-        total = p_goal = 0.0
-        for h in range(1 << streamed):
-            weights = column
-            goal_weights = compress(column, goal_true[h * n_low:(h + 1) * n_low])
-            for j, pair in enumerate(pairs):  # fact n_table + j is bit j of h
-                factor = repeat(pair[h >> j & 1])
-                weights = map(mul, factor, weights)
-                goal_weights = map(mul, factor, goal_weights)
-            total = sum(weights, total)
-            p_goal = deque(accumulate(goal_weights, initial=p_goal), maxlen=1)[0]
-        if not abs(total - 1.0) <= tolerance:  # raised under python -O too
-            raise AssertionError("assignment weights must sum to 1")
-        p_goals.append(p_goal)
-    return p_goals
+    if not abs(total - 1.0) <= tolerance:  # raised under python -O too
+        raise AssertionError("assignment weights must sum to 1")
+    return p_goal
 
 
 def cross_validate(rs: RuleSet, tolerance: float = 1e-9) -> CrossValidation:

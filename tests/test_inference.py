@@ -189,9 +189,8 @@ def test_oracle_rows_equal_one_oracle_call_per_row():
 
 
 def test_oracle_rows_on_12_to_14_facts_equal_one_row_calls(monkeypatch):
-    # a budget of 3 * 2^12 entries, not a power of two, holds 3 rows of 12
-    # facts, so 40 rows fill 13 blocks and leave the last one part full; a
-    # row of 13 facts fills its table alone, and one of 14 streams a fact
+    # a budget of 3 * 2^12 entries, not a power of two, holds all the
+    # worlds of a row of 12 or 13 facts, and a row of 14 streams a fact
     monkeypatch.setattr(inference, "ORACLE_BLOCK_ENTRIES", 3 * 2**12)
     rng = random.Random(17)
     for n_facts in (12, 13, 14):
@@ -248,7 +247,7 @@ def test_oracle_of_a_14_fact_tree_weighs_its_whole_table_as_the_per_world_loop(s
     result = oracle(rs)
     assert result.p_true == _per_world_oracle(rs)
     assert result.p_true == pytest.approx(expected, abs=1e-12)
-    # three rows double the table through cycle(), one row without it
+    # each of three rows is weighed on its own, as a one-row call
     rows = _random_rows(rs, rng, n_rows=3)
     assert oracle_rows(rs, rows) == [oracle_rows(rs, [row])[0] for row in rows]
 
@@ -473,29 +472,43 @@ def test_goal_marginals_of_64_rows_hold_no_row_of_world_weights():
         assert p == pytest.approx(1.0 - (1.0 - p0 * p1) * p19, abs=1e-12)
 
 
+def _traced_oracle_rows(rs, rows):
+    """The traced peak of one ``oracle_rows`` call, and its results."""
+    tracemalloc.start()
+    try:
+        results = oracle_rows(rs, rows)
+        return tracemalloc.get_traced_memory()[1], results
+    finally:
+        tracemalloc.stop()
+
+
 def test_oracle_rows_hold_one_block_of_world_weights():
-    # at 18 facts a block holds one row, whose 2^18 weights take 8 MiB as a
-    # list; the four rows in one table would take 32 MiB. Four rows suffice:
-    # traced, each row takes most of a second
+    # at 18 facts a row's 2^18 weights take 8 MiB as a list; the four rows'
+    # tables held at once would take 32 MiB. Four rows suffice: traced,
+    # each row takes most of a second
     rs = parse("\n".join([*(f"fact f{i} disbelief {5 * i}" for i in range(18)),
                           "rule R: if f0 and f1 or not f17 then g", "goal g"]))
     rng = random.Random(16)
     rows = [[rng.uniform(0.0, 100.0) for _ in range(18)] for _ in range(4)]
-
-    def peak(rows):
-        tracemalloc.start()
-        try:
-            results = oracle_rows(rs, rows)
-            return tracemalloc.get_traced_memory()[1], results
-        finally:
-            tracemalloc.stop()
-
-    one_row, _ = peak(rows[:1])
-    all_rows, results = peak(rows)
+    one_row, _ = _traced_oracle_rows(rs, rows[:1])
+    all_rows, results = _traced_oracle_rows(rs, rows)
     assert all_rows < 2 * one_row
     for row, result in zip(rows, results):
         p0, p1, p17 = _p_true(row[0]), _p_true(row[1]), _p_true(row[17])
         assert result.p_true == pytest.approx(1.0 - (1.0 - p0 * p1) * p17, abs=1e-12)
+
+
+def test_oracle_rows_of_64_rows_hold_one_rows_weights():
+    # at 12 facts 64 rows' weights would take 2^18 entries, 8 MiB as a
+    # list, if held at once; weighed a row at a time they take one row's
+    # 2^12 entries, so the call's peak stays near a one-row call's
+    rs = parse(_chain_source(12))
+    rows = _random_rows(rs, random.Random(25), n_rows=64)
+    one_row, _ = _traced_oracle_rows(rs, rows[:1])
+    all_rows, results = _traced_oracle_rows(rs, rows)
+    assert all_rows < 2 * one_row
+    assert [r.p_true for r in results] == [oracle(_with_deltas(rs, row)).p_true
+                                           for row in rows]
 
 
 def _shared_source(n_facts):
@@ -515,9 +528,8 @@ def _shared_source(n_facts):
 
 def test_oracle_rows_equal_the_per_world_loop_around_the_streaming_threshold(monkeypatch):
     # a row streams the facts whose worlds outgrow ORACLE_BLOCK_ENTRIES; at
-    # 2^10 entries 9 facts put two rows in a block, so nine rows leave the
-    # last block part full, 10 facts fill the table with one row, and 11
-    # and 12 facts stream one and two facts
+    # 2^10 entries a row of 9 facts fills half the table, one of 10 fills
+    # it, and rows of 11 and 12 facts stream one and two facts
     monkeypatch.setattr(inference, "ORACLE_BLOCK_ENTRIES", 2**10)
     threshold = inference.ORACLE_BLOCK_ENTRIES.bit_length() - 1
     rng = random.Random(19)
